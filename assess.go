@@ -84,7 +84,10 @@ type Assessment struct {
 // invalid spec — an unknown policy name, a dead knob, a planner without a
 // model — fails here, never mid-run. Each cell is a single-worker
 // RuntimeExperiment; WithWorkers (the only accepted option) bounds how many
-// cells run concurrently.
+// cells run concurrently. The cells of one scenario column differ only in
+// policy, so they share one materialization (weight table and perfect
+// bound, built when the column's first cell runs) and one no-LB baseline
+// run: per column, one table and one baseline whatever the panel size.
 func NewAssessment(criteria []Criterion, scenarios []AssessmentScenario, opts ...Option) (*Assessment, error) {
 	if len(criteria) == 0 {
 		return nil, fmt.Errorf("ulba: assessment needs at least one criterion")
@@ -108,11 +111,16 @@ func NewAssessment(criteria []Criterion, scenarios []AssessmentScenario, opts ..
 		seen[name] = true
 	}
 	cells := make([]*RuntimeExperiment, 0, len(criteria)*len(scenarios))
-	for _, c := range criteria {
+	for ci, c := range criteria {
 		for si, sc := range scenarios {
 			exp, err := buildAssessmentCell(c, sc)
 			if err != nil {
 				return nil, fmt.Errorf("assessment criterion %q, scenario %d: %w", c.DisplayName(), si, err)
+			}
+			if ci == 0 {
+				exp.noLB = &synthRun{}
+			} else {
+				exp.grid, exp.noLB = cells[si].grid, cells[si].noLB
 			}
 			cells = append(cells, exp)
 		}

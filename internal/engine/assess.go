@@ -107,6 +107,12 @@ func (r AssessRequest) build() (criteria []ulba.Criterion, n int, assessment fun
 	}
 	explicit := make([]ulba.AssessmentScenario, len(r.Scenarios))
 	for i, s := range r.Scenarios {
+		// A column passes the cost ceiling of /v1/runtime, checked on the
+		// column alone before the criteria multiply its instantiation.
+		col := RuntimeRequest{P: s.P, Iterations: s.Iterations, Workload: s.Workload, Speeds: s.Speeds}
+		if _, err := col.build(); err != nil {
+			return nil, 0, nil, fmt.Errorf("scenario %d: %w", i, err)
+		}
 		explicit[i] = s.scenario()
 	}
 	crits, workers, sample := criteria, r.Workers, r.Sample

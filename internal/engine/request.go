@@ -18,6 +18,7 @@ import (
 
 	"ulba"
 	"ulba/internal/cli"
+	"ulba/internal/lb"
 )
 
 // SampleSpec asks the server to draw the inputs itself from the pinned
@@ -44,6 +45,21 @@ func (s *SampleSpec) validate(what string) error {
 // maxBatch bounds the instances or scenarios one request may carry, so a
 // single call cannot pin the server for minutes or balloon the cache.
 const maxBatch = 100000
+
+// maxScenarioCells bounds one runtime scenario's items x iterations grid:
+// the clock-replay engine's work per run and the size of the weight table.
+// It is the weight-table cap, so every served scenario runs tabled.
+const maxScenarioCells = lb.MaxTableCells
+
+// checkScenarioCells rejects a grid of items x iterations above
+// maxScenarioCells, without overflowing on hostile sizes.
+func checkScenarioCells(items, iterations int) error {
+	if items > 0 && iterations > 0 && items > maxScenarioCells/iterations {
+		return fmt.Errorf("scenario of %d items x %d iterations exceeds the per-scenario limit of %d cells",
+			items, iterations, maxScenarioCells)
+	}
+	return nil
+}
 
 // ModelSpec is the wire form of ulba.ModelParams (Table I). delta_w may be
 // omitted: it is then derived as a*P + m*N, the only value Validate accepts.
@@ -254,7 +270,14 @@ type RuntimeRequest struct {
 	Workers int       `json:"workers,omitempty"`
 }
 
+// build validates the request into a ready scenario. The cost ceiling is
+// checked twice: p x iterations before the build, because instantiating a
+// workload allocates per PE and every PE owns at least one item, and the
+// instantiated items x iterations after it.
 func (r RuntimeRequest) build() (*ulba.RuntimeExperiment, error) {
+	if err := checkScenarioCells(r.P, max(r.Iterations, 1)); err != nil {
+		return nil, err
+	}
 	opts := []ulba.Option{ulba.WithWorkers(r.Workers)}
 	if r.Iterations != 0 {
 		opts = append(opts, ulba.WithIterations(r.Iterations))
@@ -273,7 +296,15 @@ func (r RuntimeRequest) build() (*ulba.RuntimeExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ulba.NewRuntime(r.P, opts...)
+	exp, err := ulba.NewRuntime(r.P, opts...)
+	if err != nil {
+		return nil, err
+	}
+	cfg := exp.Config()
+	if err := checkScenarioCells(cfg.Items, cfg.Iterations); err != nil {
+		return nil, err
+	}
+	return exp, nil
 }
 
 func (r RuntimeRequest) canonical() RuntimeRequest {

@@ -29,6 +29,11 @@ type WeightTable struct {
 	w          []float64 // row-major: w[iter*Items + item]
 }
 
+// MaxTableCells caps the items x iterations grid a weight table covers
+// (4Mi cells, 32 MiB of float64s), so a pathological scenario cannot pin
+// memory: the table is an optimization, never a requirement.
+const MaxTableCells = 4 << 20
+
 // BuildWeightTable evaluates weight over the grid in row-major order.
 func BuildWeightTable(items, iterations int, weight func(item, iter int) float64) *WeightTable {
 	t := &WeightTable{

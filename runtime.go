@@ -3,6 +3,7 @@ package ulba
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ulba/internal/lb"
 	"ulba/internal/stats"
@@ -15,6 +16,10 @@ import (
 // actually runs the scenario over the simulated message-passing cluster and
 // measures the per-iteration timeline. Build it with NewRuntime; a
 // constructed RuntimeExperiment is immutable and safe for concurrent use.
+// Its materialization — the weight table over the items x iterations grid
+// and the perfect-knowledge bound — is built on the first Run, so a
+// scenario that is constructed but never run costs nothing proportional to
+// its grid.
 type RuntimeExperiment struct {
 	cfg      RuntimeConfig
 	workload Workload
@@ -22,13 +27,75 @@ type RuntimeExperiment struct {
 	planner  Planner
 	planned  Schedule
 	workers  int
-	perfect  float64
+	grid     *scenarioGrid
+	// noLB memoizes the no-LB baseline when it is shared: the cells of one
+	// assessment column differ only in policy, and the baseline ignores
+	// the policy. Nil runs the baseline afresh on every Run.
+	noLB *synthRun
+}
+
+// scenarioGrid is a scenario's materialization: the weight table (when the
+// grid fits lb.MaxTableCells) and the perfect-knowledge bound. Both are
+// pure functions of the scenario — not of its policy — so the cells of one
+// assessment column share one grid. It is kept out of the RuntimeConfig, so
+// Config never races with the build.
+type scenarioGrid struct {
+	once    sync.Once
+	table   *lb.WeightTable
+	perfect float64
+}
+
+// build materializes the grid of cfg on first use. The table holds the exact
+// float64s the weight function returns, so a tabled run is bit-identical to
+// an untabled one; every run of the scenario (the configured one, the no-LB
+// baseline, repeated Run calls) then reads rows instead of re-invoking the
+// closure per item per iteration.
+func (g *scenarioGrid) build(cfg RuntimeConfig) (*lb.WeightTable, float64) {
+	g.once.Do(func() {
+		if cfg.Items <= lb.MaxTableCells/cfg.Iterations {
+			g.table = lb.BuildWeightTable(cfg.Items, cfg.Iterations, cfg.Weight)
+			cfg.Table = g.table
+		}
+		g.perfect = lb.PerfectTime(cfg)
+	})
+	return g.table, g.perfect
+}
+
+// synthRun is one lb.RunSynth execution, started on first demand and
+// awaited under a context. The run itself ignores cancellation: a cancelled
+// waiter returns ctx.Err() and abandons the wait, while the run completes in
+// the background — so a memoized synthRun that one caller gave up on still
+// delivers its result to every later caller, never the cancellation.
+type synthRun struct {
+	once sync.Once
+	done chan struct{}
+	res  RuntimeTimeline
+	err  error
+}
+
+func (r *synthRun) wait(ctx context.Context, cfg RuntimeConfig) (RuntimeTimeline, error) {
+	r.once.Do(func() {
+		r.done = make(chan struct{})
+		go func() {
+			defer close(r.done)
+			r.res, r.err = lb.RunSynth(cfg)
+		}()
+	})
+	select {
+	case <-ctx.Done():
+		return RuntimeTimeline{}, ctx.Err()
+	case <-r.done:
+		return r.res, r.err
+	}
 }
 
 // NewRuntime builds a runtime scenario for p PEs. With no options it runs
 // the linear-drift workload for 200 iterations under the paper's adaptive
 // degradation trigger on the reference cluster cost model. Every option is
-// validated eagerly, so a non-nil *RuntimeExperiment is always runnable.
+// validated eagerly, so a non-nil *RuntimeExperiment is always runnable;
+// the weight table and the perfect-knowledge bound are not built here but
+// on the first Run, so construction does no work proportional to the
+// items x iterations grid.
 //
 // WithPlanner replaces the reactive trigger with a precomputed schedule:
 // the planner plans on the analytic model (from WithModel, or derived from
@@ -66,6 +133,7 @@ func NewRuntime(p int, opts ...Option) (*RuntimeExperiment, error) {
 		trigger:  s.trigger,
 		planner:  s.planner,
 		workers:  s.workers,
+		grid:     &scenarioGrid{},
 		cfg: RuntimeConfig{
 			P:          p,
 			Items:      items,
@@ -118,17 +186,6 @@ func NewRuntime(p int, opts ...Option) (*RuntimeExperiment, error) {
 	if err := e.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Pre-evaluate the weight function over the scenario grid so every run
-	// (the configured one, the no-LB baseline, and repeated Run calls) reads
-	// the table instead of re-invoking the closure per item per iteration.
-	// The values are the exact float64s the function returns, so results
-	// are bit-for-bit unchanged; the guard keeps pathological grids from
-	// pinning memory (the table is an optimization, never a requirement).
-	const maxTableCells = 4 << 20
-	if e.cfg.Items*e.cfg.Iterations <= maxTableCells {
-		e.cfg.Table = lb.BuildWeightTable(e.cfg.Items, e.cfg.Iterations, e.cfg.Weight)
-	}
-	e.perfect = lb.PerfectTime(e.cfg)
 	return e, nil
 }
 
@@ -202,27 +259,35 @@ func (r RuntimeResult) Efficiency() float64 {
 }
 
 // Run executes the scenario and its no-LB baseline on the simulated cluster
-// and returns the measured timeline with both reference points. Runs are
+// and returns the measured timeline with both reference points. The first
+// Run materializes the scenario grid; later runs reuse it. Runs are
 // deterministic: the same RuntimeExperiment always produces the same
 // RuntimeResult, bit for bit. With WithWorkers(n >= 2) the scenario and its
 // baseline execute concurrently; the outcome is identical either way.
 // Cancelling the context abandons the runs and returns ctx.Err(); the
-// simulated ranks finish in the background and are discarded.
+// simulated ranks finish in the background.
 func (e *RuntimeExperiment) Run(ctx context.Context) (RuntimeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RuntimeResult{}, err
 	}
-	baseCfg := e.cfg
+	cfg := e.cfg
+	table, perfect := e.grid.build(cfg)
+	cfg.Table = table
+	baseCfg := cfg
 	baseCfg.TriggerFactory = NeverTrigger{}.New
 	baseCfg.WarmupLB = -1
+	noLB := e.noLB
+	if noLB == nil {
+		noLB = &synthRun{}
+	}
 
-	res := RuntimeResult{PerfectTime: e.perfect}
+	res := RuntimeResult{PerfectTime: perfect}
 	if e.workers == 1 {
-		main, err := runSynthCtx(ctx, e.cfg)
+		main, err := (&synthRun{}).wait(ctx, cfg)
 		if err != nil {
 			return RuntimeResult{}, err
 		}
-		base, err := runSynthCtx(ctx, baseCfg)
+		base, err := noLB.wait(ctx, baseCfg)
 		if err != nil {
 			return RuntimeResult{}, err
 		}
@@ -235,9 +300,9 @@ func (e *RuntimeExperiment) Run(ctx context.Context) (RuntimeResult, error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		base, baseErr = runSynthCtx(ctx, baseCfg)
+		base, baseErr = noLB.wait(ctx, baseCfg)
 	}()
-	main, mainErr = runSynthCtx(ctx, e.cfg)
+	main, mainErr = (&synthRun{}).wait(ctx, cfg)
 	<-done
 	if mainErr != nil {
 		return RuntimeResult{}, mainErr
@@ -247,26 +312,6 @@ func (e *RuntimeExperiment) Run(ctx context.Context) (RuntimeResult, error) {
 	}
 	res.Timeline, res.NoLBTime = main, base.TotalTime
 	return res, nil
-}
-
-// runSynthCtx is lb.RunSynth with context cancellation, mirroring
-// Experiment.Run's contract.
-func runSynthCtx(ctx context.Context, cfg RuntimeConfig) (RuntimeTimeline, error) {
-	type outcome struct {
-		res RuntimeTimeline
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := lb.RunSynth(cfg)
-		done <- outcome{res, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return RuntimeTimeline{}, ctx.Err()
-	case o := <-done:
-		return o.res, o.err
-	}
 }
 
 // RuntimeSweep is the batch engine for runtime scenarios: it runs many

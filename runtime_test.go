@@ -2,8 +2,10 @@ package ulba_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ulba"
@@ -237,6 +239,47 @@ func TestRuntimePlannerWithExplicitModel(t *testing.T) {
 	}
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRuntimeRunConcurrentWithConfig(t *testing.T) {
+	// The first Run materializes the scenario grid while other goroutines
+	// run and read the configuration: under -race this pins that the
+	// build stays out of the RuntimeConfig Config returns, and every
+	// concurrent Run still sees the one result.
+	e := mustRuntime(t, 4, ulba.WithWorkload(ulba.StationaryWorkload{Seed: 9}), ulba.WithIterations(60))
+	want, err := mustRuntime(t, 4, ulba.WithWorkload(ulba.StationaryWorkload{Seed: 9}), ulba.WithIterations(60)).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			got, err := e.Run(context.Background())
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = errors.New("concurrent Run differs from a fresh run")
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			if cfg := e.Config(); cfg.Table != nil || cfg.Items != 256 {
+				errs <- errors.New("Config exposes the materialized table or lost its grid")
+				return
+			}
+			errs <- nil
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

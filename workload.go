@@ -64,13 +64,29 @@ func itemsFor(itemsPerPE, p int) (perPE, items int) {
 	return itemsPerPE, itemsPerPE * p
 }
 
-// baseWeights returns the deterministic per-item base weight function of
-// the generators: base scaled by a +-spread uniform drawn from the item
-// index, so PEs start near-balanced but not artificially identical.
-func baseWeights(base, spread float64, seed uint64) func(item int) float64 {
+// baseWeight is the deterministic per-item base weight of the generators:
+// base scaled by a +-spread uniform drawn from the item index, so PEs start
+// near-balanced but not artificially identical.
+func baseWeight(base, spread float64, seed uint64, item int) float64 {
+	u := stats.HashUniform(seed, 0x5741, uint64(item))
+	return base * (1 + spread*(2*u-1))
+}
+
+// baseWeights returns baseWeight over items [0, items) as a lookup whose
+// slice is filled on first use: an instantiated weight function hashes each
+// item once rather than once per (item, iteration) cell, and instantiating
+// stays O(1) in the item count.
+func baseWeights(base, spread float64, seed uint64, items int) func(item int) float64 {
+	var once sync.Once
+	var w []float64
 	return func(item int) float64 {
-		u := stats.HashUniform(seed, 0x5741, uint64(item))
-		return base * (1 + spread*(2*u-1))
+		once.Do(func() {
+			w = make([]float64, items)
+			for j := range w {
+				w[j] = baseWeight(base, spread, seed, j)
+			}
+		})
+		return w[item]
 	}
 }
 
@@ -95,7 +111,7 @@ func (w StationaryWorkload) Instantiate(p int) (int, func(int, int) float64, err
 	}
 	base, spread := defaultBaseSpread(w.Base, w.Spread)
 	_, items := itemsFor(w.ItemsPerPE, p)
-	bw := baseWeights(base, spread, w.Seed)
+	bw := baseWeights(base, spread, w.Seed, items)
 	return items, func(item, _ int) float64 { return bw(item) }, nil
 }
 
@@ -174,7 +190,7 @@ func (w LinearWorkload) Instantiate(p int) (int, func(int, int) float64, error) 
 	w = w.normalized()
 	perPE, items := itemsFor(w.ItemsPerPE, p)
 	hot := w.hotBlocks(p)
-	bw := baseWeights(w.Base, w.Spread, w.Seed)
+	bw := baseWeights(w.Base, w.Spread, w.Seed, items)
 	return items, func(item, iter int) float64 {
 		v := bw(item) + w.A*float64(iter)
 		if hot[item/perPE] {
@@ -205,10 +221,9 @@ func (w LinearWorkload) Model(cfg RuntimeConfig) (ModelParams, error) {
 			n++
 		}
 	}
-	bw := baseWeights(w.Base, w.Spread, w.Seed)
 	w0 := 0.0
 	for j := 0; j < items; j++ {
-		w0 += bw(j)
+		w0 += baseWeight(w.Base, w.Spread, w.Seed, j)
 	}
 	mp := ModelParams{
 		P:     cfg.P,
@@ -267,7 +282,7 @@ func (w ExponentialWorkload) Instantiate(p int) (int, func(int, int) float64, er
 	base, spread, hotFrac := driftDefaults(w.Base, w.Spread, w.HotFrac)
 	perPE, items := itemsFor(w.ItemsPerPE, p)
 	hot := LinearWorkload{HotFrac: hotFrac, Seed: w.Seed}.hotBlocks(p)
-	bw := baseWeights(base, spread, w.Seed)
+	bw := baseWeights(base, spread, w.Seed, items)
 	return items, func(item, iter int) float64 {
 		v := bw(item)
 		if hot[item/perPE] {
@@ -324,7 +339,7 @@ func (w BurstyWorkload) Instantiate(p int) (int, func(int, int) float64, error) 
 		active = 1
 	}
 	perPE, items := itemsFor(w.ItemsPerPE, p)
-	bw := baseWeights(base, 0.2, w.Seed)
+	bw := baseWeights(base, 0.2, w.Seed, items)
 	seed := w.Seed
 	return items, func(item, iter int) float64 {
 		v := bw(item)
@@ -388,7 +403,7 @@ func (w OutlierWorkload) Instantiate(p int) (int, func(int, int) float64, error)
 		window = 16
 	}
 	_, items := itemsFor(w.ItemsPerPE, p)
-	bw := baseWeights(base, 0.2, w.Seed)
+	bw := baseWeights(base, 0.2, w.Seed, items)
 	seed := w.Seed
 	spike := func(item, iter int) float64 {
 		if stats.HashUniform(seed, 1, uint64(item), uint64(iter)) >= prob {
@@ -533,7 +548,7 @@ func (w AMRWorkload) Instantiate(p int) (int, func(int, int) float64, error) {
 		spread = 0.2
 	}
 	_, items := itemsFor(w.ItemsPerPE, p)
-	bw := baseWeights(base, spread, w.Seed)
+	bw := baseWeights(base, spread, w.Seed, items)
 	center0 := stats.HashUniform(w.Seed, 0x414d52)
 	return items, func(item, iter int) float64 {
 		pos := (float64(item) + 0.5) / float64(items)
