@@ -58,41 +58,6 @@ func SampleInstances(seed uint64, n int) []ModelParams {
 	return instance.NewGenerator(seed).SampleMany(n)
 }
 
-// SigmaPlusSchedule builds the paper's proposed LB schedule: after each LB
-// step, the next one happens sigma+ iterations later.
-//
-// Deprecated: use SigmaPlusPlanner (or NewPlanner("sigma+")) and Plan.
-func SigmaPlusSchedule(p ModelParams) Schedule {
-	if s, err := (SigmaPlusPlanner{}).Plan(p, 0); err == nil {
-		return s
-	}
-	// Plan validates the parameters; the legacy function did not. Keep
-	// the old unvalidated behavior for callers with off-model params.
-	return schedule.EverySigmaPlus(p)
-}
-
-// MenonSchedule builds the standard method's schedule (sigma+ at alpha = 0).
-//
-// Deprecated: use MenonPlanner (or NewPlanner("menon")) and Plan.
-func MenonSchedule(p ModelParams) Schedule {
-	if s, err := (MenonPlanner{}).Plan(p, 0); err == nil {
-		return s
-	}
-	return schedule.Menon(p)
-}
-
-// AnnealSchedule searches for a near-optimal schedule with simulated
-// annealing over all 2^gamma LB schedules, the heuristic the paper validates
-// sigma+ against (Fig. 2).
-//
-// Deprecated: use AnnealPlanner (or NewPlanner("anneal")) and Plan.
-func AnnealSchedule(p ModelParams, steps int, seed uint64) Schedule {
-	if s, err := (AnnealPlanner{Steps: steps, Seed: seed}).Plan(p, 0); err == nil {
-		return s
-	}
-	return simulate.AnnealSchedule(p, steps, seed)
-}
-
 // Application runtime (Section IV-B).
 
 // AppConfig describes one fluid-with-erosion application instance.
@@ -143,34 +108,9 @@ func DefaultCostModel() CostModel {
 	return mpisim.DefaultCostModel()
 }
 
-// DefaultRunConfig assembles a ready-to-run configuration for p PEs under
-// the given method with the paper's hyper-parameters (alpha = 0.4, z-score
-// threshold 3.0, adaptive degradation trigger).
-//
-// Deprecated: use New(p, WithMethod(m), ...); with no further options the
-// Experiment carries exactly this configuration.
-func DefaultRunConfig(p int, m Method) RunConfig {
-	return RunConfig{
-		App:             DefaultAppConfig(p),
-		Iterations:      120,
-		Cost:            DefaultCostModel(),
-		Method:          m,
-		Alpha:           0.4,
-		IncludeOverhead: true,
-	}
-}
-
-// Run executes the erosion application on simulated PEs under the
-// configured method. Runs are deterministic: same config, same result.
-//
-// Deprecated: build an Experiment with New and call its Run method, which
-// adds eager validation and context cancellation.
-func Run(cfg RunConfig) (RunResult, error) {
-	return lb.Run(cfg)
-}
-
-// RunContext is Run with cancellation, for callers holding a raw RunConfig.
-// New code should prefer the Experiment builder.
+// RunContext executes a raw RunConfig on the simulated cluster with
+// cancellation, for callers holding one. New code should prefer the
+// Experiment builder.
 func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	e := &Experiment{cfg: cfg.Normalized()}
 	if err := e.cfg.Validate(); err != nil {

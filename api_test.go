@@ -1,6 +1,7 @@
 package ulba_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,11 +35,17 @@ func TestFacadeModelRoundTrip(t *testing.T) {
 
 func TestFacadeSchedules(t *testing.T) {
 	p := sampleParams(t)
-	sp := ulba.SigmaPlusSchedule(p)
+	sp, err := ulba.SigmaPlusPlanner{}.Plan(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sp.Validate(p.Gamma); err != nil {
 		t.Fatalf("sigma+ schedule invalid: %v", err)
 	}
-	menon := ulba.MenonSchedule(p)
+	menon, err := ulba.MenonPlanner{}.Plan(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := menon.Validate(p.Gamma); err != nil {
 		t.Fatalf("Menon schedule invalid: %v", err)
 	}
@@ -46,7 +53,10 @@ func TestFacadeSchedules(t *testing.T) {
 	if got := ulba.EvaluateSchedule(p, sp); math.Abs(got-ulba.ULBATotalTime(p, p.Alpha)) > 1e-9*got {
 		t.Errorf("EvaluateSchedule %v != ULBATotalTime %v", got, ulba.ULBATotalTime(p, p.Alpha))
 	}
-	annealed := ulba.AnnealSchedule(p, 3000, 1)
+	annealed, err := ulba.AnnealPlanner{Steps: 3000, Seed: 1}.Plan(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := annealed.Validate(p.Gamma); err != nil {
 		t.Fatalf("annealed schedule invalid: %v", err)
 	}
@@ -79,38 +89,25 @@ func TestFacadeRunBothMethods(t *testing.T) {
 	app.StripeWidth = 48
 	app.Height = 100
 	app.Radius = 12
-	cfg := ulba.RunConfig{
-		App:             app,
-		Iterations:      40,
-		Cost:            ulba.DefaultCostModel(),
-		Method:          ulba.Standard,
-		Alpha:           0.4,
-		ZThreshold:      2.0,
-		IncludeOverhead: true,
+	run := func(m ulba.Method) ulba.RunResult {
+		t.Helper()
+		e, err := ulba.New(8, ulba.WithApp(app), ulba.WithIterations(40),
+			ulba.WithZThreshold(2.0), ulba.WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	std, err := ulba.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Method = ulba.ULBA
-	ul, err := ulba.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	std, ul := run(ulba.Standard), run(ulba.ULBA)
 	if std.TotalTime <= 0 || ul.TotalTime <= 0 {
 		t.Error("runs did not progress")
 	}
 	if std.Eroded != ul.Eroded {
 		t.Errorf("physics differ across methods: %d vs %d", std.Eroded, ul.Eroded)
-	}
-}
-
-func TestDefaultRunConfigValid(t *testing.T) {
-	for _, m := range []ulba.Method{ulba.Standard, ulba.ULBA} {
-		cfg := ulba.DefaultRunConfig(16, m).Normalized()
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("default config for %v invalid: %v", m, err)
-		}
 	}
 }
 

@@ -147,14 +147,15 @@ func BenchmarkAblation_Trigger(b *testing.B) {
 		mut  func(*lb.Config)
 	}{
 		{"degradation", func(c *lb.Config) {}},
-		{"menon-tau", func(c *lb.Config) { c.Trigger = lb.TriggerMenon }},
+		{"menon-tau", func(c *lb.Config) {
+			c.TriggerFactory = func() lb.Trigger { return lb.NewMenonTau() }
+		}},
 		{"periodic=10", func(c *lb.Config) {
-			c.Trigger = lb.TriggerPeriodic
-			c.PeriodicInterval = 10
+			c.TriggerFactory = func() lb.Trigger { return &lb.Periodic{K: 10} }
 			c.WarmupLB = -1
 		}},
 		{"never", func(c *lb.Config) {
-			c.Trigger = lb.TriggerNever
+			c.TriggerFactory = func() lb.Trigger { return lb.Never{} }
 			c.WarmupLB = -1
 		}},
 	}

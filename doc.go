@@ -127,9 +127,9 @@
 // sound — and, extended across time, what makes the persistent store and
 // the job subsystem sound: an async job's result bytes equal the
 // synchronous response, and a checkpoint-resumed job's bytes equal an
-// uninterrupted run's. Run cmd/ulba-bench to verify the fast/slow
-// agreement and record throughput (model sweep, runtime sweep,
-// served-request, and async-job entries).
+// uninterrupted run's. The determinism pin tests hold the model sweep, the
+// runtime sweep, the exemplar matrix and one served body to recorded
+// values; the benchmark in bench/ (bash bench/run.sh) measures performance.
 //
 // Quick start:
 //
@@ -179,10 +179,6 @@
 //   - the synthetic runtime-scenario runner (internal/lb.RunSynth) behind
 //     the Workload engine, with its no-LB and perfect-knowledge reference
 //     points.
-//
-// The pre-builder entry points (Run, DefaultRunConfig, MenonSchedule,
-// SigmaPlusSchedule, AnnealSchedule) remain as deprecated shims delegating
-// to the new API.
 //
 // See the examples directory for complete programs, DESIGN.md for the API
 // surface and the per-experiment index, and API.md for the HTTP service

@@ -22,16 +22,16 @@ type Experiment struct {
 	hasModel  bool
 }
 
-// New builds an Experiment for p PEs. With no options it reproduces
-// DefaultRunConfig(p, Standard): the paper's hyper-parameters (alpha 0.4,
-// z-score threshold 3.0, adaptive degradation trigger, Eq. 11 overhead term
-// included). Every option is validated eagerly, so a non-nil *Experiment is
-// always runnable.
+// New builds an Experiment for p PEs. With no options it runs the standard
+// method on DefaultAppConfig(p) for 120 iterations under DefaultCostModel,
+// with the paper's hyper-parameters: alpha 0.4, z-score threshold 3.0,
+// adaptive degradation trigger, Eq. 11 overhead term included. Every option
+// is validated eagerly, so a non-nil *Experiment is always runnable.
 func New(p int, opts ...Option) (*Experiment, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("ulba: experiment needs a positive PE count, got %d", p)
 	}
-	s := settings{cfg: DefaultRunConfig(p, Standard)}
+	s := settings{cfg: defaultRunConfig(p)}
 	if err := applyOptions(&s, scopeExperiment, "Experiment", opts); err != nil {
 		return nil, err
 	}
@@ -92,11 +92,23 @@ func New(p int, opts ...Option) (*Experiment, error) {
 	return e, nil
 }
 
+// defaultRunConfig is the zero-option configuration of New for p PEs.
+func defaultRunConfig(p int) RunConfig {
+	return RunConfig{
+		App:             DefaultAppConfig(p),
+		Iterations:      120,
+		Cost:            DefaultCostModel(),
+		Method:          Standard,
+		Alpha:           0.4,
+		IncludeOverhead: true,
+	}
+}
+
 // Config returns a copy of the underlying run configuration.
 func (e *Experiment) Config() RunConfig { return e.cfg }
 
 // Trigger returns the installed trigger, or nil when the run uses the
-// default degradation rule through the config's TriggerKind.
+// default degradation rule (the config's TriggerFactory is then nil).
 func (e *Experiment) Trigger() Trigger { return e.trigger }
 
 // PlannedSchedule returns the LB schedule precomputed by WithPlanner, or

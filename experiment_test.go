@@ -17,30 +17,38 @@ func smallApp(p int) ulba.AppConfig {
 	return app
 }
 
-// The zero-option Experiment must carry exactly the configuration the
-// deprecated DefaultRunConfig produced: alpha 0.4, z-threshold 3.0 (after
-// normalization), adaptive degradation trigger, overhead term included.
-func TestExperimentDefaultsMatchDefaultRunConfig(t *testing.T) {
+// The zero-option Experiment carries the paper's configuration: the
+// standard method on the default instance for 120 iterations, alpha 0.4,
+// z-threshold 3.0 (after normalization), adaptive degradation trigger,
+// overhead term included. Both methods validate on those defaults.
+func TestExperimentDefaults(t *testing.T) {
 	e, err := ulba.New(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := e.Config()
-	want := ulba.DefaultRunConfig(16, ulba.Standard).Normalized()
+	want := ulba.RunConfig{
+		App:             ulba.DefaultAppConfig(16),
+		Iterations:      120,
+		Cost:            ulba.DefaultCostModel(),
+		Method:          ulba.Standard,
+		Alpha:           0.4,
+		IncludeOverhead: true,
+	}.Normalized()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("defaults diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if got.Alpha != 0.4 {
-		t.Errorf("default alpha = %g, want 0.4", got.Alpha)
 	}
 	if got.ZThreshold != 3.0 {
 		t.Errorf("default z-threshold = %g, want 3.0", got.ZThreshold)
 	}
-	if got.TriggerFactory != nil || got.Trigger != 0 {
-		t.Error("default experiment should use the degradation trigger kind")
+	if got.TriggerFactory != nil {
+		t.Error("default experiment should fall back to the degradation trigger")
 	}
 	if e.Trigger() != nil || e.PlannedSchedule() != nil {
 		t.Error("zero-option experiment should have no explicit policy attached")
+	}
+	if _, err := ulba.New(16, ulba.WithMethod(ulba.ULBA)); err != nil {
+		t.Errorf("default ULBA experiment invalid: %v", err)
 	}
 }
 
@@ -68,36 +76,6 @@ func TestExperimentEagerValidation(t *testing.T) {
 		if _, err := ulba.New(tc.p, tc.opts...); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-}
-
-func TestExperimentRunMatchesDeprecatedRun(t *testing.T) {
-	e, err := ulba.New(8,
-		ulba.WithMethod(ulba.ULBA),
-		ulba.WithApp(smallApp(8)),
-		ulba.WithIterations(40),
-		ulba.WithZThreshold(2.0),
-		ulba.WithSeed(5),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := ulba.DefaultRunConfig(8, ulba.ULBA)
-	cfg.App = smallApp(8)
-	cfg.App.Seed = 5
-	cfg.Iterations = 40
-	cfg.ZThreshold = 2.0
-	old, err := ulba.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTime != old.TotalTime || res.Eroded != old.Eroded || res.LBCount() != old.LBCount() {
-		t.Errorf("builder run diverged from deprecated Run: %+v vs %+v", res, old)
 	}
 }
 

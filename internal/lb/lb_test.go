@@ -43,7 +43,6 @@ func TestConfigValidation(t *testing.T) {
 		"iters":      func(c *Config) { c.Iterations = 0 },
 		"alpha":      func(c *Config) { c.Alpha = 1.5 },
 		"method":     func(c *Config) { c.Method = Method(9) },
-		"periodic":   func(c *Config) { c.Trigger = TriggerPeriodic; c.PeriodicInterval = 0 },
 		"rcbUlba":    func(c *Config) { c.UseRCB = true; c.Method = ULBA },
 		"warmupLate": func(c *Config) { c.WarmupLB = 100 },
 		"appBroken":  func(c *Config) { c.App.Radius = 0 },
@@ -237,7 +236,7 @@ func TestULBAAlphaZeroEqualsStandard(t *testing.T) {
 
 func TestNeverTriggerStaticBaseline(t *testing.T) {
 	cfg := testConfig(4, Standard)
-	cfg.Trigger = TriggerNever
+	cfg.TriggerFactory = func() Trigger { return Never{} }
 	cfg.WarmupLB = -1
 	res, err := Run(cfg)
 	if err != nil {
@@ -257,8 +256,7 @@ func TestNeverTriggerStaticBaseline(t *testing.T) {
 
 func TestPeriodicTrigger(t *testing.T) {
 	cfg := testConfig(4, Standard)
-	cfg.Trigger = TriggerPeriodic
-	cfg.PeriodicInterval = 10
+	cfg.TriggerFactory = func() Trigger { return &Periodic{K: 10} }
 	cfg.WarmupLB = -1
 	res, err := Run(cfg)
 	if err != nil {
@@ -382,7 +380,7 @@ func TestMenonTauTrigger(t *testing.T) {
 
 func TestMenonTriggerIntegration(t *testing.T) {
 	cfg := testConfig(8, Standard)
-	cfg.Trigger = TriggerMenon
+	cfg.TriggerFactory = func() Trigger { return NewMenonTau() }
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -401,17 +399,21 @@ func TestMenonTriggerIntegration(t *testing.T) {
 }
 
 func TestTriggerKindsAllRun(t *testing.T) {
-	for _, kind := range []TriggerKind{TriggerDegradation, TriggerPeriodic, TriggerNever, TriggerMenon} {
+	factories := map[string]func() Trigger{
+		"default":     nil,
+		"degradation": func() Trigger { return NewDegradation() },
+		"periodic":    func() Trigger { return &Periodic{K: 15} },
+		"never":       func() Trigger { return Never{} },
+		"menon":       func() Trigger { return NewMenonTau() },
+	}
+	for name, factory := range factories {
 		cfg := testConfig(4, Standard)
-		cfg.Trigger = kind
-		if kind == TriggerPeriodic {
-			cfg.PeriodicInterval = 15
-		}
-		if kind == TriggerNever {
+		cfg.TriggerFactory = factory
+		if name == "never" {
 			cfg.WarmupLB = -1
 		}
 		if _, err := Run(cfg); err != nil {
-			t.Errorf("trigger %d failed: %v", kind, err)
+			t.Errorf("trigger %s failed: %v", name, err)
 		}
 	}
 }
@@ -486,26 +488,6 @@ func TestFixedScheduleSkipsPastEntries(t *testing.T) {
 	f.Reset()
 	if f.ShouldFire(0) {
 		t.Error("entry 3 already covered, must not fire again")
-	}
-}
-
-func TestTriggerFactoryOverridesKind(t *testing.T) {
-	cfg := testConfig(4, Standard)
-	cfg.Trigger = TriggerDegradation
-	cfg.TriggerFactory = func() Trigger { return Never{} }
-	cfg.WarmupLB = -1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LBCount() != 0 {
-		t.Errorf("factory-built Never trigger ignored: %d LB calls", res.LBCount())
-	}
-	// The factory also lifts the PeriodicInterval requirement.
-	cfg.Trigger = TriggerPeriodic
-	cfg.PeriodicInterval = 0
-	if err := cfg.Normalized().Validate(); err != nil {
-		t.Errorf("factory config rejected: %v", err)
 	}
 }
 

@@ -38,23 +38,6 @@ func (m Method) String() string {
 	}
 }
 
-// TriggerKind selects when the balancer is invoked.
-type TriggerKind int
-
-// Trigger kinds.
-const (
-	// TriggerDegradation is the paper's adaptive rule (default): the
-	// exact accumulated degradation of Zhai et al. [7].
-	TriggerDegradation TriggerKind = iota
-	// TriggerPeriodic fires every PeriodicInterval iterations.
-	TriggerPeriodic
-	// TriggerNever disables LB entirely (static baseline).
-	TriggerNever
-	// TriggerMenon fires at the fitted analytic optimum of Menon et
-	// al. [6], tau = sqrt(2*C*omega/m^).
-	TriggerMenon
-)
-
 // Config parameterizes one application run.
 type Config struct {
 	App        erosion.Config // the application instance; App.P = number of PEs
@@ -68,13 +51,10 @@ type Config struct {
 	ZThreshold float64 // overload detection threshold (default 3.0)
 	WIRWindow  int     // WIR regression window (default 8)
 
-	Trigger          TriggerKind
-	PeriodicInterval int // for TriggerPeriodic
-
-	// TriggerFactory, when non-nil, overrides Trigger: every rank calls
-	// it once to obtain a fresh trigger state machine. This is how
-	// user-defined triggers plug into the runner; the factory must
-	// return deterministic triggers (LB decisions are collective).
+	// TriggerFactory, when non-nil, decides when to balance: every rank
+	// calls it once to obtain a fresh trigger state machine. Nil means
+	// the paper's adaptive degradation rule (NewDegradation). The factory
+	// must return deterministic triggers (LB decisions are collective).
 	TriggerFactory func() Trigger
 
 	// WarmupLB is the iteration of the forced first LB call, which
@@ -167,9 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.Method != Standard && c.Method != ULBA {
 		return fmt.Errorf("lb: unknown method %d", c.Method)
-	}
-	if c.TriggerFactory == nil && c.Trigger == TriggerPeriodic && c.PeriodicInterval <= 0 {
-		return fmt.Errorf("lb: periodic trigger needs PeriodicInterval > 0")
 	}
 	if c.UseRCB && c.Method == ULBA {
 		return fmt.Errorf("lb: recursive bisection cannot honor ULBA weights; use the stripe partitioner")
@@ -268,16 +245,7 @@ func Run(cfg Config) (Result, error) {
 		if cfg.TriggerFactory != nil {
 			trig = cfg.TriggerFactory()
 		} else {
-			switch cfg.Trigger {
-			case TriggerPeriodic:
-				trig = &Periodic{K: cfg.PeriodicInterval}
-			case TriggerNever:
-				trig = Never{}
-			case TriggerMenon:
-				trig = NewMenonTau()
-			default:
-				trig = NewDegradation()
-			}
+			trig = NewDegradation()
 		}
 
 		var lbCostAvg stats.Running

@@ -1,7 +1,6 @@
 package ulba_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -72,35 +71,6 @@ func TestTriggerRegistry(t *testing.T) {
 	}
 	if err := ulba.RegisterTrigger("degradation", func() ulba.Trigger { return ulba.DegradationTrigger{} }); err == nil {
 		t.Error("duplicate trigger registration accepted")
-	}
-}
-
-// The deprecated schedule shims must stay exact aliases of the planners.
-func TestShimsMatchPlanners(t *testing.T) {
-	p := ulba.SampleInstances(7, 1)[0]
-
-	fromPlanner, err := ulba.MenonPlanner{}.Plan(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ulba.MenonSchedule(p), fromPlanner) {
-		t.Error("MenonSchedule shim diverged from MenonPlanner")
-	}
-
-	fromPlanner, err = ulba.SigmaPlusPlanner{}.Plan(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ulba.SigmaPlusSchedule(p), fromPlanner) {
-		t.Error("SigmaPlusSchedule shim diverged from SigmaPlusPlanner")
-	}
-
-	fromPlanner, err = ulba.AnnealPlanner{Steps: 2000, Seed: 11}.Plan(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ulba.AnnealSchedule(p, 2000, 11), fromPlanner) {
-		t.Error("AnnealSchedule shim diverged from AnnealPlanner")
 	}
 }
 

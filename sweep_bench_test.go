@@ -1,7 +1,8 @@
 // Benchmarks of the Sweep evaluation core: the allocation-free incremental
 // fast path against the materialize-a-Schedule-per-alpha slow path it
 // replaced, and the end-to-end engine throughput. `go test -bench Sweep`
-// regenerates the comparison; cmd/ulba-bench records it as BENCH_sweep.json.
+// regenerates the comparison; the served end-to-end benchmark is
+// bash bench/run.sh.
 package ulba_test
 
 import (

@@ -91,7 +91,11 @@ func TestSweepExplicitSigmaPlusIgnoresRawAlpha(t *testing.T) {
 func TestFacadeMatchesEvaluatorExactly(t *testing.T) {
 	for i, p := range ulba.SampleInstances(42, 50) {
 		pa := p.WithAlpha(0.37)
-		if got, want := ulba.ULBATotalTime(p, 0.37), ulba.EvaluateSchedule(pa, ulba.SigmaPlusSchedule(pa)); got != want {
+		sched, err := ulba.SigmaPlusPlanner{}.Plan(pa, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ulba.ULBATotalTime(p, 0.37), ulba.EvaluateSchedule(pa, sched); got != want {
 			t.Errorf("instance %d: ULBATotalTime %v != schedule evaluation %v", i, got, want)
 		}
 	}

@@ -47,7 +47,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The default sweep must agree with the deprecated free functions.
+// The default sweep must agree with the facade free functions.
 func TestSweepMatchesFacadeEvaluation(t *testing.T) {
 	params := ulba.SampleInstances(7, 10)
 	s, err := ulba.NewSweep(ulba.WithAlphaGrid(21))
