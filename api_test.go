@@ -111,6 +111,19 @@ func TestFacadeRunBothMethods(t *testing.T) {
 	}
 }
 
+// The default run configuration New starts from validates for both methods.
+func TestDefaultRunConfigValid(t *testing.T) {
+	for _, m := range []ulba.Method{ulba.Standard, ulba.ULBA} {
+		e, err := ulba.New(16, ulba.WithMethod(m))
+		if err != nil {
+			t.Fatalf("default experiment for %v rejected: %v", m, err)
+		}
+		if err := e.Config().Validate(); err != nil {
+			t.Errorf("default config for %v invalid: %v", m, err)
+		}
+	}
+}
+
 func TestSampleInstancesCount(t *testing.T) {
 	ps := ulba.SampleInstances(3, 25)
 	if len(ps) != 25 {
