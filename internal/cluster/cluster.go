@@ -3,9 +3,8 @@
 // content-addressed key space (DESIGN.md's determinism contract), so the
 // cluster's job is not correctness — any node can compute any request — but
 // placement: a consistent-hash ring over the canonical request hashes
-// decides which replicas own (cache, persist, replicate) each key, liveness
-// decides who is worth forwarding to, and queued-job work stealing drains
-// load imbalances between replicas.
+// decides which replicas own (cache, persist, replicate) each key, and
+// liveness decides who is worth forwarding to.
 //
 // Membership is static — the peer list comes from the -peers flag and every
 // node must be started with the same list — while liveness and per-node
@@ -18,9 +17,9 @@
 // of exchange interleaving.
 //
 // The package owns the client half of the cluster protocol (forward,
-// replicate, gossip exchange, steal) and the background loops; the HTTP
-// handlers serving /v1/cluster/* live in internal/server, which wires the
-// two together through Hooks.
+// replicate, gossip exchange) and the gossip loop; the HTTP handlers
+// serving /v1/cluster/* live in internal/server, which wires the two
+// together through Hooks.
 package cluster
 
 import (
@@ -45,7 +44,6 @@ import (
 // this package's client half.
 const (
 	PathGossip    = "/v1/cluster/gossip"
-	PathSteal     = "/v1/cluster/steal"
 	PathReplicate = "/v1/cluster/replicate"
 	PathStatus    = "/v1/cluster"
 )
@@ -72,26 +70,6 @@ type GossipExchange struct {
 	Entries []gossip.Entry `json:"entries"`
 }
 
-// StealRequest is the body of POST /v1/cluster/steal: an idle node asking a
-// loaded peer for one queued job.
-type StealRequest struct {
-	From string `json:"from"`
-}
-
-// StolenJob is one leased queued job: the exact submission the victim
-// accepted plus its content address.
-type StolenJob struct {
-	Type    string          `json:"type"`
-	Request json.RawMessage `json:"request"`
-	Key     string          `json:"key"`
-}
-
-// StealResponse is the body answering a steal: a leased job, or nothing
-// when the victim has no eligible queued work.
-type StealResponse struct {
-	Job *StolenJob `json:"job,omitempty"`
-}
-
 // Options configures a Node. Self and Peers are required; everything else
 // has serviceable defaults.
 type Options struct {
@@ -111,24 +89,17 @@ type Options struct {
 	// GossipInterval paces the heartbeat/load dissemination loop; <= 0
 	// selects 250ms.
 	GossipInterval time.Duration
-	// StealInterval paces the work-stealing loop; <= 0 selects 500ms.
-	StealInterval time.Duration
 	// Client overrides the intra-cluster HTTP client (tests); nil builds
 	// one with a short dial timeout so dead peers fail fast.
 	Client *http.Client
 }
 
-// Hooks is the serving layer's half of the contract: the cluster loops need
-// to know the local load and how to execute a stolen submission.
+// Hooks is the serving layer's half of the contract: the gossip loop needs
+// to know the local load.
 type Hooks struct {
-	// Load returns the local queued-job depth, gossiped so idle peers can
-	// pick steal victims.
+	// Load returns the local queued-job depth, gossiped as each member's
+	// load on GET /v1/cluster.
 	Load func() int
-	// RunStolen executes one stolen submission through the local cache /
-	// engine path and returns the key and fully rendered body. The node
-	// pushes the body back to the victim (owners already received it
-	// through the server's persist hook).
-	RunStolen func(ctx context.Context, typ string, request json.RawMessage) (key string, body []byte, err error)
 }
 
 // Member is one cluster node in the canonical (sorted-URL) order.
@@ -144,7 +115,7 @@ type Member struct {
 }
 
 // Node is one replica's view of the cluster: the immutable member ring plus
-// the gossiped liveness/load state and the background loops. Build it with
+// the gossiped liveness/load state and the gossip loop. Build it with
 // New, start the loops with Start, and Close on shutdown. All methods are
 // safe for concurrent use.
 type Node struct {
@@ -153,7 +124,6 @@ type Node struct {
 	ring        ring
 	replication int
 	gossipEvery time.Duration
-	stealEvery  time.Duration
 	client      *http.Client
 	hooks       Hooks
 
@@ -167,7 +137,6 @@ type Node struct {
 	forwards, forwardFailures       atomic.Uint64
 	forwardsShed                    atomic.Uint64
 	replicasSent, replicaFailures   atomic.Uint64
-	stealsRun, stealFailures        atomic.Uint64
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -238,10 +207,6 @@ func New(opts Options, hooks Hooks) (*Node, error) {
 	if gossipEvery <= 0 {
 		gossipEvery = 250 * time.Millisecond
 	}
-	stealEvery := opts.StealInterval
-	if stealEvery <= 0 {
-		stealEvery = 500 * time.Millisecond
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{
@@ -264,7 +229,6 @@ func New(opts Options, hooks Hooks) (*Node, error) {
 		ring:        buildRing(urls, virtual),
 		replication: replication,
 		gossipEvery: gossipEvery,
-		stealEvery:  stealEvery,
 		client:      client,
 		hooks:       hooks,
 		db:          gossip.NewDB(selfIdx, len(urls)),
@@ -408,27 +372,26 @@ func (n *Node) HandleGossip(from string, entries []gossip.Entry) []gossip.Entry 
 	return snap
 }
 
-// Start launches the gossip and steal loops. A singleton cluster has
-// nothing to disseminate or steal, so Start is a no-op there.
+// Start launches the gossip loop. A singleton cluster has nothing to
+// disseminate, so Start is a no-op there.
 func (n *Node) Start() {
 	if len(n.members) == 1 || n.cancel != nil {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.loop(ctx, n.gossipEvery, n.gossipTick)
-	go n.loop(ctx, n.stealEvery, n.stealTick)
 }
 
-// Close stops the background loops and waits for them.
+// Close stops the gossip loop and waits for it and for every replica push
+// still in flight.
 func (n *Node) Close() {
-	if n.cancel == nil {
-		return
+	if n.cancel != nil {
+		n.cancel()
+		n.cancel = nil
 	}
-	n.cancel()
 	n.wg.Wait()
-	n.cancel = nil
 }
 
 func (n *Node) loop(ctx context.Context, every time.Duration, tick func(ctx context.Context)) {
@@ -481,64 +444,6 @@ func (n *Node) gossipTick(ctx context.Context) {
 	n.gossipExchanges.Add(1)
 	n.HandleGossip(theirs.From, theirs.Entries)
 	n.markAlive(dst)
-}
-
-// stealTick pulls one queued job from the most loaded live peer when the
-// local queue is idle, runs it locally, and pushes the rendered body back
-// to the victim (whose queued copy then completes as a cache hit). The
-// victim's lease guarantees a key is handed to at most one thief, and the
-// local cache's single-flight keeps the computation deduplicated against
-// concurrent local traffic — cluster-wide single flight by owner-side
-// dedup.
-func (n *Node) stealTick(ctx context.Context) {
-	if n.hooks.Load == nil || n.hooks.RunStolen == nil || n.hooks.Load() > 0 {
-		return
-	}
-	victim := -1
-	best := 0.0
-	n.mu.Lock()
-	for i := range n.members {
-		if i == n.self || !n.alive[i] {
-			continue
-		}
-		if e, ok := n.db.Get(i); ok && e.Value > best {
-			best, victim = e.Value, i
-		}
-	}
-	n.mu.Unlock()
-	if victim < 0 {
-		return
-	}
-	reqBody, err := json.Marshal(StealRequest{From: n.ID()})
-	if err != nil {
-		return
-	}
-	callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	resp, err := n.post(callCtx, n.members[victim], PathSteal, "application/json", nil, reqBody)
-	if err != nil {
-		cancel()
-		n.stealFailures.Add(1)
-		if ctx.Err() == nil {
-			n.MarkDead(victim)
-		}
-		return
-	}
-	var stolen StealResponse
-	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&stolen)
-	resp.Body.Close()
-	cancel()
-	if resp.StatusCode != http.StatusOK || decodeErr != nil || stolen.Job == nil {
-		return
-	}
-	key, body, err := n.hooks.RunStolen(ctx, stolen.Job.Type, stolen.Job.Request)
-	if err != nil {
-		n.stealFailures.Add(1)
-		return
-	}
-	n.stealsRun.Add(1)
-	// Owners received the body through the compute path's replication;
-	// the victim — who holds the leased job — may not be one of them.
-	n.replicateTo(ctx, n.members[victim], key, body)
 }
 
 // post issues one intra-cluster POST with the sender identity attached.
@@ -650,8 +555,6 @@ type Stats struct {
 	ForwardsShed    uint64 `json:"forwards_shed"`
 	ReplicasSent    uint64 `json:"replicas_sent"`
 	ReplicaFailures uint64 `json:"replica_failures"`
-	StealsRun       uint64 `json:"steals_run"`
-	StealFailures   uint64 `json:"steal_failures"`
 }
 
 // Stats snapshots the membership view and protocol counters.
@@ -667,8 +570,6 @@ func (n *Node) Stats() Stats {
 		ForwardsShed:    n.forwardsShed.Load(),
 		ReplicasSent:    n.replicasSent.Load(),
 		ReplicaFailures: n.replicaFailures.Load(),
-		StealsRun:       n.stealsRun.Load(),
-		StealFailures:   n.stealFailures.Load(),
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -295,61 +296,190 @@ func TestGossipTickFailureMarksDead(t *testing.T) {
 	}
 }
 
-func TestStealTickRunsVictimJob(t *testing.T) {
-	idle := 0
-	var mu sync.Mutex
-	var ranType string
-	var pushedKey string
-	n0, n1, _, mux1 := twoNodeHarness(t,
-		Hooks{
-			Load: func() int { return idle },
-			RunStolen: func(ctx context.Context, typ string, req json.RawMessage) (string, []byte, error) {
-				mu.Lock()
-				ranType = typ
-				mu.Unlock()
-				return "k123", []byte(`{"ok":true}`), nil
-			},
-		},
-		Hooks{Load: func() int { return 5 }})
-	mux1.HandleFunc(PathSteal, func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(StealResponse{Job: &StolenJob{
-			Type: "sweep", Request: json.RawMessage(`{"x":1}`), Key: "k123",
-		}})
-	})
-	mux1.HandleFunc(PathReplicate, func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		pushedKey = r.Header.Get(HeaderKey)
-		mu.Unlock()
-	})
-
-	// Teach n0 that n1 is loaded (via a manual gossip merge), then tick.
-	n0.HandleGossip(n1.ID(), []gossip.Entry{{Rank: n1.self, Value: 5, Iter: 1}})
-	n0.stealTick(context.Background())
-
-	mu.Lock()
-	defer mu.Unlock()
-	if ranType != "sweep" {
-		t.Fatalf("stolen job type = %q, want sweep", ranType)
+// stubPeers builds a node at an address nobody dials plus one httptest
+// peer per handler, with every key owned by every member. It returns the
+// node and the peers' members in handler order.
+func stubPeers(t *testing.T, handlers ...http.HandlerFunc) (*Node, []Member) {
+	t.Helper()
+	const self = "http://127.0.0.1:1"
+	peers := []string{self}
+	for _, h := range handlers {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		peers = append(peers, ts.URL)
 	}
-	if pushedKey != "k123" {
-		t.Fatalf("push-back key = %q, want k123", pushedKey)
+	node, err := New(Options{
+		Self:        self,
+		Peers:       peers,
+		Replication: len(peers),
+		Client:      &http.Client{Timeout: 2 * time.Second},
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n0.Stats().StealsRun != 1 {
-		t.Fatalf("steals run = %d, want 1", n0.Stats().StealsRun)
+	members := make([]Member, len(handlers))
+	for i, u := range peers[1:] {
+		for _, m := range node.Members() {
+			if m.URL == u {
+				members[i] = m
+			}
+		}
+	}
+	return node, members
+}
+
+func TestForwardMarksRelay(t *testing.T) {
+	var forwarded, from, path, body string
+	node, peers := stubPeers(t, func(w http.ResponseWriter, r *http.Request) {
+		forwarded, from, path = r.Header.Get(HeaderForwarded), r.Header.Get(HeaderFrom), r.URL.Path
+		b, _ := io.ReadAll(r.Body)
+		body = string(b)
+	})
+	resp, err := node.Forward(context.Background(), peers[0], "/v1/sweep", []byte(`{"x":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if forwarded != node.ID() || from != node.ID() {
+		t.Fatalf("%s = %q, %s = %q, want both %q", HeaderForwarded, forwarded, HeaderFrom, from, node.ID())
+	}
+	if path != "/v1/sweep" || body != `{"x":1}` {
+		t.Fatalf("peer got %s %q, want /v1/sweep with the client body", path, body)
+	}
+	if st := node.Stats(); st.Forwards != 1 || st.ForwardsShed != 0 || st.ForwardFailures != 0 {
+		t.Fatalf("forwards/shed/failures = %d/%d/%d, want 1/0/0", st.Forwards, st.ForwardsShed, st.ForwardFailures)
 	}
 }
 
-func TestStealTickSkipsWhenBusy(t *testing.T) {
-	n0 := newTestNode(t, 0, 3, Options{}, Hooks{
-		Load: func() int { return 3 }, // busy: never steal
-		RunStolen: func(ctx context.Context, typ string, req json.RawMessage) (string, []byte, error) {
-			panic("must not run")
-		},
+func TestForwardCountsShed(t *testing.T) {
+	node, peers := stubPeers(t, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
 	})
-	n0.HandleGossip("n1", []gossip.Entry{{Rank: 1, Value: 10, Iter: 1}})
-	n0.stealTick(context.Background())
-	if got := n0.Stats().StealsRun; got != 0 {
-		t.Fatalf("steals run = %d, want 0", got)
+	resp, err := node.Forward(context.Background(), peers[0], "/v1/sweep", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("relayed status = %d, want 429", resp.StatusCode)
+	}
+	if st := node.Stats(); st.Forwards != 1 || st.ForwardsShed != 1 {
+		t.Fatalf("forwards/shed = %d/%d, want 1/1", st.Forwards, st.ForwardsShed)
+	}
+	if !node.Alive(peers[0].Index) {
+		t.Fatal("a shedding owner is still alive")
+	}
+}
+
+func TestForwardTransportErrorMarksDead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+	const self = "http://127.0.0.1:1"
+	node, err := New(Options{Self: self, Peers: []string{self, deadURL}}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead Member
+	for _, m := range node.Members() {
+		if !m.Self {
+			dead = m
+		}
+	}
+
+	// A caller whose context is already done says nothing about the peer.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := node.Forward(ctx, dead, "/v1/sweep", []byte(`{}`)); err == nil {
+		t.Fatal("forward with a cancelled context succeeded")
+	}
+	if !node.Alive(dead.Index) {
+		t.Fatal("a cancelled caller marked the peer dead")
+	}
+
+	if _, err := node.Forward(context.Background(), dead, "/v1/sweep", []byte(`{}`)); err == nil {
+		t.Fatal("forward to a closed port succeeded")
+	}
+	if node.Alive(dead.Index) {
+		t.Fatal("unreachable owner should be marked dead")
+	}
+	if st := node.Stats(); st.ForwardFailures != 2 || st.Forwards != 0 {
+		t.Fatalf("forwards/failures = %d/%d, want 0/2", st.Forwards, st.ForwardFailures)
+	}
+}
+
+// replicaRecorder is a peer handler that records the replica pushes it
+// receives, answering each with status after delay.
+type replicaRecorder struct {
+	status int
+	delay  time.Duration
+
+	mu     sync.Mutex
+	pushes []string // "key body"
+}
+
+func (rr *replicaRecorder) handle(w http.ResponseWriter, r *http.Request) {
+	b, _ := io.ReadAll(r.Body)
+	time.Sleep(rr.delay)
+	if r.URL.Path == PathReplicate {
+		rr.mu.Lock()
+		rr.pushes = append(rr.pushes, r.Header.Get(HeaderKey)+" "+string(b))
+		rr.mu.Unlock()
+	}
+	w.WriteHeader(rr.status)
+}
+
+func (rr *replicaRecorder) got() []string {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return append([]string(nil), rr.pushes...)
+}
+
+func TestReplicateAsyncPushesToOtherOwners(t *testing.T) {
+	a, b := &replicaRecorder{status: http.StatusOK}, &replicaRecorder{status: http.StatusOK}
+	node, _ := stubPeers(t, a.handle, b.handle)
+	const key = "k1"
+	node.ReplicateAsync(key, []byte(`{"r":1}`))
+	node.Close()
+	// Self is an owner too but is never dialed: a push to its unreachable
+	// address would count as a failure.
+	for i, rr := range []*replicaRecorder{a, b} {
+		if got := rr.got(); len(got) != 1 || got[0] != key+` {"r":1}` {
+			t.Errorf("peer %d pushes = %q, want one push of %s", i, got, key)
+		}
+	}
+	if st := node.Stats(); st.ReplicasSent != 2 || st.ReplicaFailures != 0 {
+		t.Fatalf("replicas sent/failed = %d/%d, want 2/0", st.ReplicasSent, st.ReplicaFailures)
+	}
+}
+
+func TestReplicateCountsRejections(t *testing.T) {
+	rr := &replicaRecorder{status: http.StatusBadRequest}
+	node, peers := stubPeers(t, rr.handle)
+	node.ReplicateAsync("k2", []byte(`{}`))
+	node.Close()
+	if st := node.Stats(); st.ReplicasSent != 0 || st.ReplicaFailures != 1 {
+		t.Fatalf("replicas sent/failed = %d/%d, want 0/1", st.ReplicasSent, st.ReplicaFailures)
+	}
+	if !node.Alive(peers[0].Index) {
+		t.Fatal("a peer that answered is still alive")
+	}
+}
+
+func TestCloseWaitsForReplicaPushes(t *testing.T) {
+	rr := &replicaRecorder{status: http.StatusOK, delay: 200 * time.Millisecond}
+	node, _ := stubPeers(t, rr.handle)
+	node.Start()
+	node.ReplicateAsync("k3", []byte(`{}`))
+	node.Close()
+	if got := len(rr.got()); got != 1 {
+		t.Fatalf("Close returned with %d of 1 pushes landed", got)
+	}
+	if st := node.Stats(); st.ReplicasSent != 1 {
+		t.Fatalf("replicas sent = %d, want 1", st.ReplicasSent)
 	}
 }
 
@@ -369,7 +499,6 @@ func TestStartCloseLoops(t *testing.T) {
 	registerGossipHandler(mux0, n0)
 	registerGossipHandler(mux1, n1)
 	n0.gossipEvery, n1.gossipEvery = 5*time.Millisecond, 5*time.Millisecond
-	n0.stealEvery, n1.stealEvery = 5*time.Millisecond, 5*time.Millisecond
 	n0.Start()
 	n1.Start()
 	deadline := time.Now().Add(2 * time.Second)

@@ -2,7 +2,7 @@
 // validate/run/summarize/stream/cache-key/checkpoint-resume — that every
 // compute engine of the service implements exactly once, and a registry the
 // serving layers (sync HTTP handlers, NDJSON streaming, async jobs with
-// checkpointed resume, cluster forward/replicate/steal routing) program
+// checkpointed resume, cluster forward/replicate routing) program
 // against. Adding an engine means implementing Engine (or BatchEngine) for
 // a new request type and registering it; the HTTP surface, caching,
 // persistence, and cluster placement follow without engine-specific code.
@@ -40,7 +40,7 @@ type Engine[Req, Result any] interface {
 	Meta() Meta
 	// Decode strictly parses and validates raw into a ready request.
 	// Errors surface as 400s on every intake surface (sync endpoint, job
-	// submission, stolen job), never inside a running job.
+	// submission), never inside a running job.
 	Decode(raw []byte) (Req, error)
 	// Canonical returns the request stripped of its result-neutral fields
 	// (worker count, delivery mode). The content address is the SHA-256 of

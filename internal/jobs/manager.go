@@ -72,7 +72,6 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     State
-	leased    bool // handed to a work-stealing peer while queued
 	completed int
 	resumed   int
 	total     int
@@ -211,7 +210,6 @@ type Manager struct {
 	seq        int
 	closed     bool
 	submitted  uint64
-	stolen     uint64
 	shed       uint64
 
 	wg sync.WaitGroup
@@ -364,10 +362,6 @@ func (m *Manager) Cancel(id string) (Status, bool) {
 // Stats is the manager's counter snapshot for GET /v1/stats.
 type Stats struct {
 	Submitted uint64 `json:"submitted"`
-	// Stolen counts queued jobs leased to work-stealing cluster peers.
-	// A stolen job still runs locally — the lease only means a peer is
-	// (probably) turning it into a cache hit.
-	Stolen uint64 `json:"stolen"`
 	// Shed counts submissions rejected by the queue-depth limit
 	// (ErrQueueFull); QueueLimit is the configured bound (0 = unbounded).
 	Shed       uint64 `json:"shed"`
@@ -386,7 +380,7 @@ func (m *Manager) Stats() Stats {
 	m.pruneLocked()
 	jobsCopy := make([]*Job, len(m.order))
 	copy(jobsCopy, m.order)
-	st := Stats{Submitted: m.submitted, Stolen: m.stolen, Shed: m.shed, QueueLimit: m.queueLimit}
+	st := Stats{Submitted: m.submitted, Shed: m.shed, QueueLimit: m.queueLimit}
 	m.mu.Unlock()
 	for _, j := range jobsCopy {
 		switch j.Status().State {
@@ -406,40 +400,11 @@ func (m *Manager) Stats() Stats {
 }
 
 // QueuedLen reports how many jobs are awaiting a worker — the load figure
-// the cluster layer gossips so idle peers can pick steal victims.
+// the cluster layer gossips.
 func (m *Manager) QueuedLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.queue)
-}
-
-// StealQueued leases the oldest eligible queued job to a work-stealing
-// peer and returns its submission. A lease does not dequeue the job — it
-// still runs on a local worker, where it typically completes instantly once
-// the thief pushes the computed body back — it only guarantees each job is
-// handed to at most one thief, the owner-side half of the cluster-wide
-// single-flight contract. eligible (may be nil for "all") filters by key;
-// the server passes "not already cached locally".
-func (m *Manager) StealQueued(eligible func(key string) bool) (typ, key string, meta any, ok bool) {
-	m.mu.Lock()
-	queue := make([]*Job, len(m.queue))
-	copy(queue, m.queue)
-	m.mu.Unlock()
-	for _, j := range queue {
-		j.mu.Lock()
-		if j.state != StateQueued || j.leased || (eligible != nil && !eligible(j.key)) {
-			j.mu.Unlock()
-			continue
-		}
-		j.leased = true
-		typ, key, meta = j.typ, j.key, j.meta
-		j.mu.Unlock()
-		m.mu.Lock()
-		m.stolen++
-		m.mu.Unlock()
-		return typ, key, meta, true
-	}
-	return "", "", nil, false
 }
 
 // pruneLocked drops finished jobs older than the retention window. Callers

@@ -257,6 +257,9 @@ func TestQueueLimit(t *testing.T) {
 		return nil
 	})
 	<-started // the single worker is now occupied; the queue is empty
+	if got := m.QueuedLen(); got != 0 {
+		t.Fatalf("QueuedLen = %d with the queue empty, want 0", got)
+	}
 
 	var ranMu sync.Mutex
 	var ran []string
@@ -289,6 +292,11 @@ func TestQueueLimit(t *testing.T) {
 	}
 	if st := m.Stats(); st.Shed != 1 || st.QueueLimit != 2 || st.Queued != 3 {
 		t.Fatalf("stats = %+v, want shed=1 limit=2 queued=3", st)
+	}
+	// QueuedLen (the load the cluster gossips) counts the same jobs: the
+	// shed submission never entered the queue.
+	if got := m.QueuedLen(); got != 3 {
+		t.Fatalf("QueuedLen = %d, want 3", got)
 	}
 
 	close(release)

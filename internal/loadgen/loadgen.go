@@ -1,16 +1,14 @@
-// Package loadgen is the open-loop load generator behind cmd/ulba-loadgen
-// and the in-process soak harness: it fires a Poisson or constant arrival
-// process of mixed engine requests (drawn from the live workload/planner
-// registries) at one or more ulba-serve targets through a bounded client
-// pool, and reports per-endpoint latency quantiles, status counts, and
-// byte-identity violations.
+// Package loadgen is the closed-loop request generator of the in-process soak
+// suite: a bounded client pool fires a fixed number of mixed engine
+// requests (drawn from the live workload/planner registries) back to back
+// at one or more ulba-serve targets, and reports per-endpoint status
+// counts and byte-identity violations. ScrapeEndpointCounts and
+// VerifyServerCounts then balance those counts against the server's
+// /metrics histograms.
 //
-// Open-loop means arrivals do not wait for responses: when every client is
-// busy, excess arrivals are counted as dropped instead of silently slowing
-// the offered rate — the difference between measuring the server and
-// measuring the generator. A third arrival mode, "closed", saturates the
-// pool back-to-back (each client fires as soon as its previous response
-// lands); the soak tests use it for exact request accounting.
+// Closed-loop means each client fires as soon as its previous response
+// lands, so the run ends after exactly the requested count and every
+// request is accounted for.
 package loadgen
 
 import (
@@ -20,81 +18,45 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ulba"
-	"ulba/internal/metrics"
-)
-
-// Arrival processes.
-const (
-	ArrivalPoisson  = "poisson"  // exponential inter-arrival gaps at Rate/s
-	ArrivalConstant = "constant" // fixed 1/Rate gaps
-	ArrivalClosed   = "closed"   // no schedule: each client fires back-to-back
 )
 
 // MixEntry weights one endpoint family in the request mix.
 type MixEntry struct {
-	// Endpoint is the family name: "sweep", "runtime", "runtime-sweep",
-	// or "experiment" (the four engine endpoints).
-	Endpoint string `json:"endpoint"`
-	// Weight is the family's share of arrivals (integer odds).
-	Weight int `json:"weight"`
+	// Endpoint is the family name: "sweep", "runtime", or
+	// "runtime-sweep".
+	Endpoint string
+	// Weight is the family's share of requests (integer odds).
+	Weight int
 	// Distinct is how many distinct request bodies the family cycles
 	// through — the cache-hit ratio knob: requests beyond the first
-	// Distinct arrivals repeat earlier bodies.
-	Distinct int `json:"distinct"`
-	// Size scales one request: sweep sample.n, runtime/experiment
-	// iterations, runtime-sweep sample.n.
-	Size int `json:"size"`
+	// Distinct repeat earlier bodies.
+	Distinct int
+	// Size scales one request: sweep and runtime-sweep sample.n, runtime
+	// iterations.
+	Size int
 }
 
-// DefaultMix is a sweep-heavy blend of the engine endpoints.
-func DefaultMix() []MixEntry {
-	return []MixEntry{
-		{Endpoint: "sweep", Weight: 6, Distinct: 8, Size: 50},
-		{Endpoint: "runtime", Weight: 3, Distinct: 6, Size: 30},
-		{Endpoint: "runtime-sweep", Weight: 1, Distinct: 2, Size: 4},
-	}
-}
-
-// Config parameterizes one load-generation run.
+// Config parameterizes one run.
 type Config struct {
-	// Targets are the base URLs traffic round-robins over.
+	// Targets are the base URLs requests round-robin over.
 	Targets []string
 	// Client issues the requests; nil builds a pooled transport sized to
 	// Clients connections.
 	Client *http.Client
-	// Arrival selects the arrival process (default ArrivalPoisson).
-	Arrival string
-	// Rate is the offered arrival rate per second (open-loop modes).
-	Rate float64
-	// Clients bounds concurrent in-flight requests (default 64).
+	// Clients is how many requests are in flight at once.
 	Clients int
-	// Warmup requests (those arriving before the warmup window closes)
-	// are issued and verified but excluded from the latency report.
-	Warmup time.Duration
-	// Duration is the measurement window after warmup. Ignored when
-	// MaxRequests is set.
-	Duration time.Duration
-	// MaxRequests, when positive, ends the run after that many arrivals
-	// instead of after Duration — the deterministic-count mode the soak
-	// tests use.
+	// MaxRequests is how many requests the run sends.
 	MaxRequests int
-	// Seed drives the arrival process; equal seeds give equal schedules.
-	Seed uint64
-	// Mix is the endpoint blend (default DefaultMix).
+	// Mix is the endpoint blend.
 	Mix []MixEntry
-	// Timeout bounds one request; 0 means no per-request timeout.
-	Timeout time.Duration
 }
 
 // endpointPath maps a mix family to its route.
@@ -107,14 +69,10 @@ func endpointPath(family string) string { return "/v1/" + family }
 // the determinism the byte-identity verification leans on.
 func buildBody(e MixEntry, variant int) ([]byte, error) {
 	type m = map[string]any
-	size := e.Size
 	switch e.Endpoint {
 	case "sweep":
-		if size <= 0 {
-			size = 50
-		}
 		body := m{
-			"sample":     m{"seed": uint64(variant + 1), "n": size},
+			"sample":     m{"seed": uint64(variant + 1), "n": e.Size},
 			"alpha_grid": 25,
 		}
 		// Cycle the cheap planners (annealing is a search, not a serving
@@ -129,14 +87,11 @@ func buildBody(e MixEntry, variant int) ([]byte, error) {
 		}
 		return json.Marshal(body)
 	case "runtime":
-		if size <= 0 {
-			size = 30
-		}
 		workloads := generatorWorkloads()
 		triggers := []string{"degradation", "menon", "periodic", "never"}
 		body := m{
 			"p":          4,
-			"iterations": size,
+			"iterations": e.Size,
 			"workload":   m{"name": workloads[variant%len(workloads)], "seed": uint64(variant + 1)},
 		}
 		switch tr := triggers[variant%len(triggers)]; tr {
@@ -147,15 +102,7 @@ func buildBody(e MixEntry, variant int) ([]byte, error) {
 		}
 		return json.Marshal(body)
 	case "runtime-sweep":
-		if size <= 0 {
-			size = 4
-		}
-		return json.Marshal(m{"sample": m{"seed": uint64(variant + 1), "n": size}})
-	case "experiment":
-		if size <= 0 {
-			size = 20
-		}
-		return json.Marshal(m{"p": 4, "iterations": size, "seed": uint64(variant + 1)})
+		return json.Marshal(m{"sample": m{"seed": uint64(variant + 1), "n": e.Size}})
 	default:
 		return nil, fmt.Errorf("loadgen: unknown mix endpoint %q", e.Endpoint)
 	}
@@ -173,129 +120,76 @@ func generatorWorkloads() []string {
 	return names
 }
 
-// endpointState accumulates one family's observations.
+// endpointState is one mix family: its rendered bodies and, under mu, its
+// report block and the hash of each variant's first 200 body.
 type endpointState struct {
-	entry    MixEntry
-	path     string
-	label    string // "POST /v1/sweep", matching the server's metric label
-	bodies   [][]byte
-	measured metrics.Family
-	warmup   metrics.Family
-
-	transportErrors atomic.Uint64
-	mismatches      atomic.Uint64
+	entry  MixEntry
+	path   string
+	bodies [][]byte
 
 	mu     sync.Mutex
-	golden map[int][32]byte // variant -> SHA-256 of the first 200 body
+	golden map[int][32]byte
+	rep    EndpointReport
 }
 
 // EndpointReport is the per-endpoint block of a Report.
 type EndpointReport struct {
-	Endpoint string `json:"endpoint"`
-	// Requests counts completed responses in the measurement window;
-	// RequestsTotal adds the warmup window — the number the server-side
-	// histogram for this endpoint must equal when the generator is the
-	// only client.
-	Requests      uint64 `json:"requests"`
-	RequestsTotal uint64 `json:"requests_total"`
-	// Status is the measurement-window status-code breakdown.
-	Status map[string]uint64 `json:"status"`
+	// Endpoint is the route label ("POST /v1/sweep"), matching the
+	// server's metric label.
+	Endpoint string
+	// Requests counts responses — the number the server-side histogram
+	// for this endpoint must equal when the generator is the only client.
+	Requests uint64
+	// Status breaks Requests down by status code.
+	Status map[int]uint64
 	// TransportErrors are requests that never got an HTTP response
 	// (connection refused/reset); they appear in no histogram.
-	TransportErrors uint64 `json:"transport_errors"`
-	// Mismatches counts 200 bodies that differed from the first body seen
+	TransportErrors uint64
+	// Mismatches counts 200 bodies that differed from the first 200 body
 	// for the same request — determinism violations; always 0.
-	Mismatches uint64 `json:"mismatches"`
-	// Latency quantiles over the measurement window, milliseconds.
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	// ErrorRate is the measurement-window share of responses that were
-	// neither 2xx nor 429.
-	ErrorRate float64 `json:"error_rate"`
+	Mismatches uint64
 }
 
-// Report is the JSON result of one run.
+// Report is the result of one run.
 type Report struct {
-	Arrival string  `json:"arrival"`
-	Rate    float64 `json:"rate_per_sec,omitempty"`
-	Clients int     `json:"clients"`
-	Seed    uint64  `json:"seed"`
+	// Completed counts requests that got an HTTP response, TransportErrors
+	// the requests that did not; together they are MaxRequests unless ctx
+	// ended the run early.
+	Completed       uint64
+	TransportErrors uint64
+	// Shed counts 429 responses; Mismatches counts byte-identity
+	// violations (always 0).
+	Shed       uint64
+	Mismatches uint64
 
-	// Offered counts scheduled arrivals; Dropped the arrivals that found
-	// every client busy (open-loop overload at the generator itself);
-	// Completed the requests that got an HTTP response; TransportErrors
-	// the requests that did not. Offered = Dropped + Completed +
-	// TransportErrors always — no request is lost. OfferedMeasured is the
-	// arrivals of the measurement window alone — the realized (not
-	// nominal) offered load the sustained-rate criterion compares
-	// completions against, so Poisson noise cancels out of the ratio.
-	Offered         uint64 `json:"offered"`
-	OfferedMeasured uint64 `json:"offered_measured"`
-	Dropped         uint64 `json:"dropped"`
-	Completed       uint64 `json:"completed"`
-	TransportErrors uint64 `json:"transport_errors"`
-	// Shed counts 429 responses across both windows; Mismatches counts
-	// byte-identity violations (always 0).
-	Shed       uint64 `json:"shed"`
-	Mismatches uint64 `json:"mismatches"`
-
-	// MeasureSeconds is the measurement wall time; AchievedRPS the
-	// measurement-window completion rate.
-	MeasureSeconds float64 `json:"measure_seconds"`
-	AchievedRPS    float64 `json:"achieved_rps"`
-
-	Endpoints []EndpointReport `json:"endpoints"`
+	Endpoints []EndpointReport
 }
 
-// shot is one scheduled arrival.
-type shot struct {
-	idx  int
-	warm bool
-}
-
-// Run executes one load-generation run and reports what happened.
+// Run sends cfg.MaxRequests requests through cfg.Clients closed-loop
+// clients and reports what happened.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("loadgen: no targets")
 	}
-	arrival := cfg.Arrival
-	if arrival == "" {
-		arrival = ArrivalPoisson
+	if cfg.MaxRequests <= 0 || cfg.Clients <= 0 {
+		return nil, fmt.Errorf("loadgen: need positive request and client counts")
 	}
-	if arrival != ArrivalPoisson && arrival != ArrivalConstant && arrival != ArrivalClosed {
-		return nil, fmt.Errorf("loadgen: unknown arrival process %q", arrival)
-	}
-	if arrival != ArrivalClosed && cfg.Rate <= 0 {
-		return nil, fmt.Errorf("loadgen: open-loop arrivals need a positive -rate")
-	}
-	if cfg.MaxRequests <= 0 && cfg.Duration <= 0 {
-		return nil, fmt.Errorf("loadgen: need a measurement duration or a request cap")
-	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = 64
-	}
-	mix := cfg.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
+	if len(cfg.Mix) == 0 {
+		return nil, fmt.Errorf("loadgen: empty request mix")
 	}
 	var totalWeight int
-	states := make([]*endpointState, len(mix))
-	for i, e := range mix {
-		if e.Weight <= 0 {
-			return nil, fmt.Errorf("loadgen: mix entry %q needs a positive weight", e.Endpoint)
-		}
-		if e.Distinct <= 0 {
-			e.Distinct = 1
+	states := make([]*endpointState, len(cfg.Mix))
+	for i, e := range cfg.Mix {
+		if e.Weight <= 0 || e.Distinct <= 0 || e.Size <= 0 {
+			return nil, fmt.Errorf("loadgen: mix entry %q needs a positive weight, distinct count and size", e.Endpoint)
 		}
 		totalWeight += e.Weight
 		st := &endpointState{
 			entry:  e,
 			path:   endpointPath(e.Endpoint),
-			label:  "POST " + endpointPath(e.Endpoint),
-			golden: map[int][32]byte{},
 			bodies: make([][]byte, e.Distinct),
+			golden: map[int][32]byte{},
+			rep:    EndpointReport{Endpoint: "POST " + endpointPath(e.Endpoint), Status: map[int]uint64{}},
 		}
 		for v := range st.bodies {
 			body, err := buildBody(e, v)
@@ -309,146 +203,49 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        clients,
-			MaxIdleConnsPerHost: clients,
+			MaxIdleConns:        cfg.Clients,
+			MaxIdleConnsPerHost: cfg.Clients,
 			IdleConnTimeout:     30 * time.Second,
 		}}
 	}
 
-	queue := make(chan shot, clients)
+	shots := make(chan int)
 	var wg sync.WaitGroup
-	rep := &Report{Arrival: arrival, Rate: cfg.Rate, Clients: clients, Seed: cfg.Seed}
-	var completed, shed, transport atomic.Uint64
-
-	worker := func() {
-		defer wg.Done()
-		for sh := range queue {
-			st, variant := pickShot(sh.idx, states, totalWeight)
-			target := cfg.Targets[sh.idx%len(cfg.Targets)]
-			reqCtx := ctx
-			var cancel context.CancelFunc
-			if cfg.Timeout > 0 {
-				reqCtx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-			}
-			status, dur, err := issue(reqCtx, client, target+st.path, st, variant)
-			if cancel != nil {
-				cancel()
-			}
-			if err != nil {
-				st.transportErrors.Add(1)
-				transport.Add(1)
-				continue
-			}
-			completed.Add(1)
-			if status == http.StatusTooManyRequests {
-				shed.Add(1)
-			}
-			if sh.warm {
-				st.warmup.Observe(status, dur)
-			} else {
-				st.measured.Observe(status, dur)
-			}
-		}
-	}
-	for i := 0; i < clients; i++ {
+	for range cfg.Clients {
 		wg.Add(1)
-		go worker()
+		go func() {
+			defer wg.Done()
+			for idx := range shots {
+				st, variant := pickShot(idx, states, totalWeight)
+				st.issue(ctx, client, cfg.Targets[idx%len(cfg.Targets)], variant)
+			}
+		}()
 	}
-
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-	start := time.Now()
-	warmupEnd := start.Add(cfg.Warmup)
-	end := warmupEnd.Add(cfg.Duration)
-	next := start
-	var offered, offeredMeasured, dropped uint64
-	var measureStart time.Time
-
-arrivals:
-	for idx := 0; ; idx++ {
-		if cfg.MaxRequests > 0 && idx >= cfg.MaxRequests {
-			break
-		}
-		now := time.Now()
-		if cfg.MaxRequests <= 0 && !now.Before(end) {
-			break
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		warm := now.Before(warmupEnd)
-		if !warm && measureStart.IsZero() {
-			measureStart = now
-		}
-		sh := shot{idx: idx, warm: warm}
-		if arrival == ArrivalClosed {
-			select {
-			case queue <- sh:
-			case <-ctx.Done():
-				break arrivals
-			}
-			offered++
-			if !warm {
-				offeredMeasured++
-			}
-			continue
-		}
-		// Open loop: never wait for a client. A full queue means the pool
-		// is saturated; the arrival is dropped and counted — but it was
-		// still one *scheduled* arrival, so the pacing below advances to
-		// the next schedule slot either way. (Skipping the pacing on a
-		// drop would turn a saturated pool into a busy loop offering
-		// millions of phantom arrivals.)
+feed:
+	for idx := 0; idx < cfg.MaxRequests; idx++ {
 		select {
-		case queue <- sh:
-		default:
-			dropped++
-		}
-		offered++
-		if !warm {
-			offeredMeasured++
-		}
-		gap := 1 / cfg.Rate
-		if arrival == ArrivalPoisson {
-			gap = rng.ExpFloat64() / cfg.Rate
-		}
-		next = next.Add(time.Duration(gap * float64(time.Second)))
-		if d := time.Until(next); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-			}
+		case shots <- idx:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	close(queue)
+	close(shots)
 	wg.Wait()
-	if measureStart.IsZero() {
-		measureStart = warmupEnd
-	}
-	measure := time.Since(measureStart).Seconds()
 
-	rep.Offered = offered
-	rep.OfferedMeasured = offeredMeasured
-	rep.Dropped = dropped
-	rep.Completed = completed.Load()
-	rep.TransportErrors = transport.Load()
-	rep.Shed = shed.Load()
-	rep.MeasureSeconds = measure
+	rep := &Report{}
 	for _, st := range states {
-		er := endpointReport(st)
+		er := st.rep
+		rep.Completed += er.Requests
+		rep.TransportErrors += er.TransportErrors
+		rep.Shed += er.Status[http.StatusTooManyRequests]
 		rep.Mismatches += er.Mismatches
 		rep.Endpoints = append(rep.Endpoints, er)
-		rep.AchievedRPS += float64(er.Requests)
-	}
-	if measure > 0 {
-		rep.AchievedRPS /= measure
-	} else {
-		rep.AchievedRPS = 0
 	}
 	sort.Slice(rep.Endpoints, func(i, j int) bool { return rep.Endpoints[i].Endpoint < rep.Endpoints[j].Endpoint })
 	return rep, nil
 }
 
-// pickShot maps an arrival index to its endpoint family and body variant,
+// pickShot maps a request index to its endpoint family and body variant,
 // both deterministic functions of the index alone: the family round-robins
 // the weighted mix and the variant cycles the family's distinct bodies.
 func pickShot(idx int, states []*endpointState, totalWeight int) (*endpointState, int) {
@@ -463,65 +260,46 @@ func pickShot(idx int, states []*endpointState, totalWeight int) (*endpointState
 	return states[len(states)-1], 0 // unreachable: slot < totalWeight
 }
 
-// issue sends one request and verifies byte identity of 200 bodies: the
-// first 200 for a variant becomes golden; every later 200 must hash equal.
-func issue(ctx context.Context, client *http.Client, url string, st *endpointState, variant int) (status int, dur time.Duration, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(st.bodies[variant]))
+// issue sends one request to target and records its outcome. The first
+// 200 body for a variant becomes golden; every later 200 must hash equal.
+func (st *endpointState) issue(ctx context.Context, client *http.Client, target string, variant int) {
+	status, sum, err := send(ctx, client, target+st.path, st.bodies[variant])
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err != nil {
-		return 0, 0, err
+		st.rep.TransportErrors++
+		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	t0 := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, time.Since(t0), err
+	st.rep.Requests++
+	st.rep.Status[status]++
+	if status != http.StatusOK {
+		return
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	dur = time.Since(t0)
-	if err != nil {
-		return 0, dur, err
+	if golden, seen := st.golden[variant]; !seen {
+		st.golden[variant] = sum
+	} else if golden != sum {
+		st.rep.Mismatches++
 	}
-	if resp.StatusCode == http.StatusOK {
-		sum := sha256.Sum256(body)
-		st.mu.Lock()
-		golden, seen := st.golden[variant]
-		if !seen {
-			st.golden[variant] = sum
-		}
-		st.mu.Unlock()
-		if seen && golden != sum {
-			st.mismatches.Add(1)
-		}
-	}
-	return resp.StatusCode, dur, nil
 }
 
-// endpointReport snapshots one family's counters into its report block.
-func endpointReport(st *endpointState) EndpointReport {
-	er := EndpointReport{
-		Endpoint:        st.label,
-		Requests:        st.measured.Count(),
-		RequestsTotal:   st.measured.Count() + st.warmup.Count(),
-		Status:          map[string]uint64{},
-		TransportErrors: st.transportErrors.Load(),
-		Mismatches:      st.mismatches.Load(),
+// send POSTs one JSON body and returns the status and the SHA-256 of the
+// response body.
+func send(ctx context.Context, client *http.Client, url string, body []byte) (int, [32]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, [32]byte{}, err
 	}
-	var errored uint64
-	for code, n := range st.measured.StatusCounts() {
-		er.Status[strconv.Itoa(code)] = n
-		if (code < 200 || code > 299) && code != http.StatusTooManyRequests {
-			errored += n
-		}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, [32]byte{}, err
 	}
-	if er.Requests > 0 {
-		er.ErrorRate = float64(errored) / float64(er.Requests)
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return 0, [32]byte{}, err
 	}
-	h := st.measured.Latency()
-	er.P50Ms = float64(h.Quantile(0.5)) / float64(time.Millisecond)
-	er.P99Ms = float64(h.Quantile(0.99)) / float64(time.Millisecond)
-	er.P999Ms = float64(h.Quantile(0.999)) / float64(time.Millisecond)
-	return er
+	return resp.StatusCode, sha256.Sum256(data), nil
 }
 
 // Verify checks the invariants a healthy run must satisfy: every response
@@ -536,9 +314,8 @@ func (r *Report) Verify() error {
 	}
 	for _, ep := range r.Endpoints {
 		for code, n := range ep.Status {
-			c, _ := strconv.Atoi(code)
-			if (c < 200 || c > 299) && c != http.StatusTooManyRequests {
-				return fmt.Errorf("loadgen: %s answered %d requests with status %s", ep.Endpoint, n, code)
+			if (code < 200 || code > 299) && code != http.StatusTooManyRequests {
+				return fmt.Errorf("loadgen: %s answered %d requests with status %d", ep.Endpoint, n, code)
 			}
 		}
 	}
@@ -581,79 +358,16 @@ func ScrapeEndpointCounts(r io.Reader) (map[string]uint64, error) {
 // invariant. Only sound when the generator was the server's only client.
 func (r *Report) VerifyServerCounts(counts map[string]uint64) error {
 	for _, ep := range r.Endpoints {
-		if ep.RequestsTotal == 0 {
+		if ep.Requests == 0 {
 			continue
 		}
 		got, ok := counts[ep.Endpoint]
 		if !ok {
 			return fmt.Errorf("loadgen: server metrics have no histogram for %s", ep.Endpoint)
 		}
-		if got != ep.RequestsTotal {
-			return fmt.Errorf("loadgen: %s: server histogram count %d != %d observed responses", ep.Endpoint, got, ep.RequestsTotal)
+		if got != ep.Requests {
+			return fmt.Errorf("loadgen: %s: server histogram count %d != %d observed responses", ep.Endpoint, got, ep.Requests)
 		}
 	}
 	return nil
-}
-
-// FindMaxRate ramps the offered rate geometrically (x2 per stage, then one
-// bisection refinement) and returns the highest rate the target sustained,
-// with the report of that stage. A stage is sustained when nothing errored
-// or mismatched, sheds stayed under maxShedFrac of completions, at least
-// 90% of the measurement window's arrivals completed (comparing against
-// realized rather than nominal arrivals, so Poisson noise cancels), and
-// the generator itself kept offering at least 80% of the nominal rate —
-// when it cannot, the bottleneck is the generator and ramping further
-// would report a rate nobody offered.
-func FindMaxRate(ctx context.Context, base Config, startRate float64, stage time.Duration, maxShedFrac float64) (float64, *Report, error) {
-	if startRate <= 0 {
-		startRate = 50
-	}
-	run := func(rate float64) (*Report, bool, error) {
-		cfg := base
-		cfg.Arrival = ArrivalPoisson
-		cfg.Rate = rate
-		cfg.Duration = stage
-		cfg.MaxRequests = 0
-		rep, err := Run(ctx, cfg)
-		if err != nil {
-			return nil, false, err
-		}
-		var measured uint64
-		for _, ep := range rep.Endpoints {
-			measured += ep.Requests
-		}
-		offeredRate := 0.0
-		if rep.MeasureSeconds > 0 {
-			offeredRate = float64(rep.OfferedMeasured) / rep.MeasureSeconds
-		}
-		ok := rep.Verify() == nil &&
-			float64(rep.Shed) <= maxShedFrac*math.Max(1, float64(rep.Completed)) &&
-			float64(measured) >= 0.9*float64(rep.OfferedMeasured) &&
-			offeredRate >= 0.8*rate
-		return rep, ok, nil
-	}
-	var bestRate float64
-	var bestRep *Report
-	rate := startRate
-	for i := 0; i < 12; i++ {
-		rep, ok, err := run(rate)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			break
-		}
-		bestRate, bestRep = rate, rep
-		rate *= 2
-	}
-	if bestRep == nil {
-		return 0, nil, fmt.Errorf("loadgen: target did not sustain the starting rate %.0f/s", startRate)
-	}
-	// One refinement step between the last sustained rate and the doubled
-	// rate that failed (or was never tried).
-	mid := bestRate * 1.5
-	if rep, ok, err := run(mid); err == nil && ok {
-		bestRate, bestRep = mid, rep
-	}
-	return bestRate, bestRep, nil
 }

@@ -10,14 +10,18 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestBuildBodyDeterministic pins the byte-identity premise of the
 // generator: equal (family, variant, size) render equal bytes, and
 // distinct variants render distinct bytes (distinct cache keys).
 func TestBuildBodyDeterministic(t *testing.T) {
-	for _, e := range DefaultMix() {
+	mix := []MixEntry{
+		{Endpoint: "sweep", Weight: 1, Distinct: 8, Size: 50},
+		{Endpoint: "runtime", Weight: 1, Distinct: 6, Size: 30},
+		{Endpoint: "runtime-sweep", Weight: 1, Distinct: 2, Size: 4},
+	}
+	for _, e := range mix {
 		seen := map[string]int{}
 		for v := 0; v < e.Distinct; v++ {
 			a, err := buildBody(e, v)
@@ -79,7 +83,7 @@ func staticHandler(t *testing.T, requests *atomic.Uint64) http.Handler {
 }
 
 // TestRunClosedAccounting runs the closed loop against a stub server: a
-// fixed request cap, every arrival completed, nothing dropped or lost.
+// fixed request count, every request completed, nothing lost.
 func TestRunClosedAccounting(t *testing.T) {
 	var requests atomic.Uint64
 	ts := httptest.NewServer(staticHandler(t, &requests))
@@ -88,17 +92,18 @@ func TestRunClosedAccounting(t *testing.T) {
 	const n = 120
 	rep, err := Run(context.Background(), Config{
 		Targets:     []string{ts.URL},
-		Arrival:     ArrivalClosed,
 		Clients:     8,
 		MaxRequests: n,
-		Seed:        1,
+		Mix: []MixEntry{
+			{Endpoint: "sweep", Weight: 3, Distinct: 4, Size: 10},
+			{Endpoint: "runtime", Weight: 1, Distinct: 2, Size: 10},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Offered != n || rep.Completed != n || rep.Dropped != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("accounting = offered %d completed %d dropped %d transport %d, want %d/%d/0/0",
-			rep.Offered, rep.Completed, rep.Dropped, rep.TransportErrors, n, n)
+	if rep.Completed != n || rep.TransportErrors != 0 {
+		t.Fatalf("accounting = completed %d transport %d, want %d/0", rep.Completed, rep.TransportErrors, n)
 	}
 	if got := requests.Load(); got != n {
 		t.Fatalf("server saw %d requests, want %d", got, n)
@@ -108,43 +113,10 @@ func TestRunClosedAccounting(t *testing.T) {
 	}
 	var perEndpoint uint64
 	for _, ep := range rep.Endpoints {
-		perEndpoint += ep.RequestsTotal
+		perEndpoint += ep.Requests
 	}
 	if perEndpoint != n {
 		t.Fatalf("endpoint totals sum to %d, want %d", perEndpoint, n)
-	}
-}
-
-// TestRunOpenLoopDropsNeverBlock saturates a deliberately slow server with
-// a high constant arrival rate and a tiny client pool: the open loop must
-// drop excess arrivals rather than slow down, and the books must balance.
-func TestRunOpenLoopDropsNeverBlock(t *testing.T) {
-	var requests atomic.Uint64
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		time.Sleep(20 * time.Millisecond)
-		io.Copy(io.Discard, r.Body)
-		fmt.Fprintln(w, `{}`)
-	})
-	ts := httptest.NewServer(slow)
-	defer ts.Close()
-
-	rep, err := Run(context.Background(), Config{
-		Targets:     []string{ts.URL},
-		Arrival:     ArrivalConstant,
-		Rate:        2000,
-		Clients:     4,
-		MaxRequests: 400,
-		Seed:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dropped == 0 {
-		t.Fatal("open loop never dropped despite a saturated pool")
-	}
-	if rep.Offered != rep.Dropped+rep.Completed+rep.TransportErrors {
-		t.Fatalf("books do not balance: %+v", rep)
 	}
 }
 
@@ -161,10 +133,8 @@ func TestMismatchDetection(t *testing.T) {
 
 	rep, err := Run(context.Background(), Config{
 		Targets:     []string{ts.URL},
-		Arrival:     ArrivalClosed,
 		Clients:     1,
 		MaxRequests: 20,
-		Seed:        3,
 		Mix:         []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1, Size: 4}},
 	})
 	if err != nil {
@@ -203,8 +173,8 @@ func TestScrapeEndpointCounts(t *testing.T) {
 // cross-check.
 func TestVerifyServerCounts(t *testing.T) {
 	rep := &Report{Endpoints: []EndpointReport{
-		{Endpoint: "POST /v1/sweep", RequestsTotal: 10},
-		{Endpoint: "POST /v1/runtime", RequestsTotal: 0},
+		{Endpoint: "POST /v1/sweep", Requests: 10},
+		{Endpoint: "POST /v1/runtime", Requests: 0},
 	}}
 	if err := rep.VerifyServerCounts(map[string]uint64{"POST /v1/sweep": 10}); err != nil {
 		t.Fatalf("exact match rejected: %v", err)
@@ -219,13 +189,21 @@ func TestVerifyServerCounts(t *testing.T) {
 
 // TestRunValidation rejects the configurations that cannot measure.
 func TestRunValidation(t *testing.T) {
+	mix := []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1, Size: 1}}
+	target := []string{"http://x"}
 	cases := []Config{
-		{},
-		{Targets: []string{"http://x"}, Arrival: "warp", Duration: time.Second},
-		{Targets: []string{"http://x"}, Arrival: ArrivalPoisson, Duration: time.Second},
-		{Targets: []string{"http://x"}, Arrival: ArrivalClosed},
-		{Targets: []string{"http://x"}, Arrival: ArrivalClosed, MaxRequests: 1,
-			Mix: []MixEntry{{Endpoint: "sweep", Weight: 0}}},
+		{MaxRequests: 1, Clients: 1, Mix: mix},
+		{Targets: target, Clients: 1, Mix: mix},
+		{Targets: target, MaxRequests: 1, Mix: mix},
+		{Targets: target, MaxRequests: 1, Clients: 1},
+		{Targets: target, MaxRequests: 1, Clients: 1,
+			Mix: []MixEntry{{Endpoint: "sweep", Weight: 0, Distinct: 1, Size: 1}}},
+		{Targets: target, MaxRequests: 1, Clients: 1,
+			Mix: []MixEntry{{Endpoint: "sweep", Weight: 1, Size: 1}}},
+		{Targets: target, MaxRequests: 1, Clients: 1,
+			Mix: []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1}}},
+		{Targets: target, MaxRequests: 1, Clients: 1,
+			Mix: []MixEntry{{Endpoint: "nope", Weight: 1, Distinct: 1, Size: 1}}},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(context.Background(), cfg); err == nil {

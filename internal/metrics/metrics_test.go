@@ -144,9 +144,10 @@ func TestRegistryOrderStable(t *testing.T) {
 }
 
 // TestWritePrometheus parses the rendered page back and checks the
-// exposition-format invariants the scrapers (and our own loadgen -check
-// mode) rely on: cumulative non-decreasing buckets ending in +Inf, and a
-// _count line equal to the +Inf bucket and to the requests_total sum.
+// exposition-format invariants the scrapers (and the soak suite's
+// histogram cross-check) rely on: cumulative non-decreasing buckets ending
+// in +Inf, and a _count line equal to the +Inf bucket and to the
+// requests_total sum.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	f := r.Family("POST /v1/sweep")

@@ -182,8 +182,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Has reports whether key is immediately servable from the LRU — a pure
 // peek: no fallback consultation, no counter movement, no recency update.
-// The cluster layer uses it to skip forwarding for locally cached keys and
-// to keep already computed jobs out of steal responses.
+// The cluster layer uses it to skip forwarding for locally cached keys.
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

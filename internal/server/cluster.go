@@ -7,14 +7,12 @@
 //
 // Division of labor with internal/cluster: the cluster package owns
 // placement (ring), membership (gossip liveness/load), and the client half
-// of the protocol (forward, replicate push, gossip exchange, steal pull);
-// this file owns the server half and the glue into the cache, store, job
-// manager, and engine path — wired into the node through cluster.Hooks.
+// of the protocol (forward, replicate push, gossip exchange); this file
+// owns the server half and the glue into the cache, store, and job
+// manager — wired into the node through cluster.Hooks.
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,24 +32,10 @@ func (s *Server) nodeID() string {
 	return s.node.ID()
 }
 
-// clusterHooks is the serving-layer half of the cluster contract: load is
-// the queued-job depth, and a stolen submission runs through the exact
-// cache/engine path a local job would — so the stolen body is byte-identical
-// and lands in the thief's cache, store, and the key's replica set.
+// clusterHooks is the serving-layer half of the cluster contract: the
+// gossiped load is the queued-job depth.
 func (s *Server) clusterHooks() cluster.Hooks {
-	return cluster.Hooks{
-		Load: func() int { return s.manager.QueuedLen() },
-		RunStolen: func(ctx context.Context, typ string, request json.RawMessage) (string, []byte, error) {
-			task, err := s.buildJobTask(jobSubmission{Type: typ, Request: request})
-			if err != nil {
-				return "", nil, err
-			}
-			body, _, err := s.cache.Do(ctx, task.key, func() ([]byte, error) {
-				return s.computeBody(ctx, task.key, task.compute)
-			})
-			return task.key, body, err
-		},
-	}
+	return cluster.Hooks{Load: s.manager.QueuedLen}
 }
 
 // maybeForward relays a unary engine request to the owner of its content
@@ -177,33 +161,6 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]bool{"stored": true})
 }
 
-func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
-	if s.errNotClustered(w) {
-		return
-	}
-	var req cluster.StealRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	typ, key, meta, ok := s.manager.StealQueued(func(key string) bool { return !s.cache.Has(key) })
-	if !ok {
-		writeJSON(w, http.StatusOK, cluster.StealResponse{})
-		return
-	}
-	sub, isSub := meta.(jobSubmission)
-	if !isSub { // cannot happen: every submission stashes its jobSubmission
-		writeJSON(w, http.StatusOK, cluster.StealResponse{})
-		return
-	}
-	s.stealsServed.Add(1)
-	writeJSON(w, http.StatusOK, cluster.StealResponse{Job: &cluster.StolenJob{
-		Type:    typ,
-		Request: sub.Request,
-		Key:     key,
-	}})
-}
-
 // NodeStats is the node block of GET /v1/stats: this node's identity, the
 // server-side cluster counters, and (when clustered) the membership view.
 type NodeStats struct {
@@ -212,8 +169,6 @@ type NodeStats struct {
 	ForwardedIn uint64 `json:"forwarded_in"`
 	// ReplicasReceived counts peer-pushed bodies admitted locally.
 	ReplicasReceived uint64 `json:"replicas_received"`
-	// StealsServed counts queued jobs leased out to work-stealing peers.
-	StealsServed uint64 `json:"steals_served"`
 	// Cluster is the membership/protocol view; nil on a standalone server.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
@@ -224,7 +179,6 @@ func (s *Server) nodeStats() *NodeStats {
 		ID:               s.nodeID(),
 		ForwardedIn:      s.forwardedIn.Load(),
 		ReplicasReceived: s.replicasReceived.Load(),
-		StealsServed:     s.stealsServed.Load(),
 	}
 	if s.node != nil {
 		st := s.node.Stats()

@@ -2,12 +2,12 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,8 +27,8 @@ type testClusterNode struct {
 // newTestCluster stands up n in-process replicas that can really reach each
 // other over HTTP. The URL chicken-and-egg (every node needs the full peer
 // list before any server exists) is solved by reserving all listeners
-// first. Gossip/steal loops run at test speed; configure applies per-node
-// Config tweaks before construction.
+// first. Gossip loops run at test speed; configure applies per-node Config
+// tweaks before construction.
 func newTestCluster(t *testing.T, n, replication int, configure func(i int, cfg *Config)) []testClusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -48,7 +48,6 @@ func newTestCluster(t *testing.T, n, replication int, configure func(i int, cfg 
 			Peers:          urls,
 			Replication:    replication,
 			GossipInterval: 20 * time.Millisecond,
-			StealInterval:  20 * time.Millisecond,
 		}}
 		if configure != nil {
 			configure(i, &cfg)
@@ -180,7 +179,7 @@ func TestNodeHeaderAndStats(t *testing.T) {
 		t.Errorf("GET /v1/cluster = %+v, want clustered=false node=%s", cs, standaloneNodeID)
 	}
 
-	for _, path := range []string{"/v1/cluster/gossip", "/v1/cluster/replicate", "/v1/cluster/steal"} {
+	for _, path := range []string{"/v1/cluster/gossip", "/v1/cluster/replicate"} {
 		resp := post(t, ts, path, `{}`)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("POST %s on standalone = %d, want 503", path, resp.StatusCode)
@@ -277,122 +276,65 @@ func TestClusterReplicationSurvivesNodeDeath(t *testing.T) {
 	}
 }
 
-// TestClusterStealEndpoint drives the work-stealing protocol end to end,
-// with the timing made deterministic in-process: the victim's single worker
-// is blocked, a queued job is leased out over /v1/cluster/steal (exactly
-// once), the thief computes it through its own engine path, pushes the body
-// back, and the victim's queued job completes bit-identically.
-func TestClusterStealEndpoint(t *testing.T) {
-	nodes := newTestCluster(t, 2, 2, func(i int, cfg *Config) {
-		cfg.JobWorkers = 1
-		// The loops must not race this test's manual protocol calls.
-		cfg.Cluster.GossipInterval = time.Hour
-		cfg.Cluster.StealInterval = time.Hour
-	})
-	victim, thief := nodes[0], nodes[1]
+// TestCloseWaitsForDrainedJobReplicas pins the shutdown order: a job that
+// finishes while Close drains the job queue persists its body and starts a
+// replica push, and Close must not return before that push has landed.
+// The peer is a stub whose replicate handler answers after 300 ms.
+func TestCloseWaitsForDrainedJobReplicas(t *testing.T) {
+	var landed atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathReplicate {
+			io.Copy(io.Discard, r.Body)
+			time.Sleep(300 * time.Millisecond)
+			landed.Add(1)
+		}
+	}))
+	t.Cleanup(peer.Close)
+	const self = "http://127.0.0.1:1" // never dialed: gossip is paused
+	srv, err := New(Config{JobWorkers: 1, Cluster: &cluster.Options{
+		Self:           self,
+		Peers:          []string{self, peer.URL},
+		Replication:    2,
+		GossipInterval: time.Hour,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Occupy the victim's only worker so the next submission stays queued.
+	// The only worker runs a job that persists once released; a second job
+	// waits in the queue, and its cancellation shows the drain has begun.
 	release := make(chan struct{})
 	running := make(chan struct{})
-	_, err := victim.srv.manager.Submit("experiment", "block", 1, jobSubmission{}, func(ctx context.Context, j *jobs.Job) error {
+	key := strings.Repeat("ab", 32)
+	if _, err := srv.manager.Submit("sweep", key, 1, jobSubmission{}, func(ctx context.Context, j *jobs.Job) error {
 		close(running)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
+		<-release
+		srv.persist(key, []byte("{}\n"))
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer releaseOnce(release)
 	<-running
-
-	const jobReq = `{"sample":{"seed":41,"n":10},"alpha_grid":11}`
-	resp := postURL(t, victim.url, "/v1/jobs", `{"type":"sweep","request":`+jobReq+`}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	queued := decodeBody[jobs.Status](t, resp)
-
-	// First steal leases the queued job; the second finds nothing left.
-	sresp := postURL(t, victim.url, cluster.PathSteal, `{"from":"n-test"}`)
-	stolen := decodeBody[cluster.StealResponse](t, sresp)
-	if stolen.Job == nil {
-		t.Fatal("steal returned no job")
-	}
-	if stolen.Job.Type != "sweep" || stolen.Job.Key != queued.Key {
-		t.Fatalf("stolen job = %+v, want sweep %s", stolen.Job, queued.Key)
-	}
-	again := decodeBody[cluster.StealResponse](t, postURL(t, victim.url, cluster.PathSteal, `{"from":"n-test"}`))
-	if again.Job != nil {
-		t.Fatalf("second steal leased %+v, want nothing (single-flight)", again.Job)
-	}
-
-	// The thief computes the stolen submission through its own engine path
-	// and pushes the body back, exactly as its steal loop would.
-	key, body, err := thief.srv.clusterHooks().RunStolen(context.Background(), stolen.Job.Type, stolen.Job.Request)
+	queued, err := srv.manager.Submit("sweep", "queued", 1, jobSubmission{}, func(ctx context.Context, j *jobs.Job) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key != stolen.Job.Key {
-		t.Fatalf("thief computed key %s, want %s", key, stolen.Job.Key)
-	}
-	req, err := http.NewRequest(http.MethodPost, victim.url+cluster.PathReplicate, strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(cluster.HeaderKey, key)
-	rresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("replicate status = %d", rresp.StatusCode)
-	}
 
-	// Unblock the worker; the victim's queued job should finish as a cache
-	// hit on the pushed body and serve the identical bytes.
-	releaseOnce(release)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(victim.url + "/v1/jobs/" + queued.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decodeBody[jobs.Status](t, resp)
-		resp.Body.Close()
-		if st.State == jobs.StateDone {
-			break
-		}
-		if st.State.Terminal() {
-			t.Fatalf("job ended %s: %s", st.State, st.Error)
-		}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for queued.Status().State != jobs.StateCancelled {
 		if time.Now().After(deadline) {
-			t.Fatalf("job still %s", st.State)
+			t.Fatal("Close never started draining the job queue")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	res, err := http.Get(victim.url + "/v1/jobs/" + queued.ID + "/result")
-	if err != nil {
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	defer res.Body.Close()
-	got := readAll(t, res)
-	if string(got) != string(body) {
-		t.Fatal("victim job result differs from the thief's pushed body")
-	}
-
-	vstats := victim.srv.Stats()
-	if vstats.Jobs.Stolen != 1 {
-		t.Errorf("victim jobs.stolen = %d, want 1", vstats.Jobs.Stolen)
-	}
-	if vstats.Node.StealsServed != 1 {
-		t.Errorf("victim steals_served = %d, want 1", vstats.Node.StealsServed)
-	}
-	if vstats.Node.ReplicasReceived == 0 {
-		t.Error("victim replicas_received = 0, want > 0")
+	if got := landed.Load(); got != 1 {
+		t.Fatalf("Close returned with %d of 1 replica pushes landed", got)
 	}
 }
 
@@ -432,52 +374,6 @@ func TestClusterReplicateValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 		}
-	}
-}
-
-// TestStealQueuedManager unit-tests the lease semantics on the manager
-// directly: FIFO order, at-most-once leasing, eligibility filtering, and
-// the stolen counter.
-func TestStealQueuedManager(t *testing.T) {
-	m := jobs.NewManager(1, 0)
-	defer m.Close(context.Background())
-	release := make(chan struct{})
-	running := make(chan struct{})
-	defer releaseOnce(release)
-	if _, err := m.Submit("blocker", "k-block", 1, nil, func(ctx context.Context, j *jobs.Job) error {
-		close(running)
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-running
-	noop := func(ctx context.Context, j *jobs.Job) error { return nil }
-	for i := 0; i < 3; i++ {
-		if _, err := m.Submit("sweep", fmt.Sprintf("k%d", i), 1, fmt.Sprintf("meta%d", i), noop); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.QueuedLen(); got != 3 {
-		t.Fatalf("QueuedLen = %d, want 3", got)
-	}
-
-	// k0 is filtered out (e.g. already cached), so the first steal leases
-	// k1, the next k2, then nothing is left.
-	eligible := func(key string) bool { return key != "k0" && key != "k-block" }
-	typ, key, meta, ok := m.StealQueued(eligible)
-	if !ok || typ != "sweep" || key != "k1" || meta != "meta1" {
-		t.Fatalf("first steal = %q %q %v %v, want sweep k1 meta1 true", typ, key, meta, ok)
-	}
-	_, key, _, ok = m.StealQueued(eligible)
-	if !ok || key != "k2" {
-		t.Fatalf("second steal key = %q ok=%v, want k2 true", key, ok)
-	}
-	if _, _, _, ok := m.StealQueued(eligible); ok {
-		t.Fatal("third steal should find nothing")
-	}
-	if got := m.Stats().Stolen; got != 2 {
-		t.Fatalf("stolen = %d, want 2", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ulba"
+	"ulba/internal/engine"
 )
 
 // TestExemplarMatrixGoldenAcrossDeployments drives a planner x trigger
@@ -52,7 +53,7 @@ func TestExemplarMatrixGoldenAcrossDeployments(t *testing.T) {
 			for _, sv := range speedVariants {
 				name := fmt.Sprintf("%s/%s/%s", w.Name, pol.name, sv.name)
 				t.Run(name, func(t *testing.T) {
-					req := runtimeRequest{
+					req := engine.RuntimeRequest{
 						P: 4, Iterations: 30,
 						Workload: w, Trigger: pol.trigger, Planner: pol.planner,
 						Speeds: sv.speeds,
@@ -89,7 +90,7 @@ func TestExemplarMatrixGoldenAcrossDeployments(t *testing.T) {
 // functional-options API at several worker counts, requires the results to
 // be identical, and returns the response body the service must serve for
 // it.
-func inProcessRuntimeBody(t *testing.T, req runtimeRequest) []byte {
+func inProcessRuntimeBody(t *testing.T, req engine.RuntimeRequest) []byte {
 	t.Helper()
 	var ref *ulba.RuntimeResult
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -130,7 +131,7 @@ func inProcessRuntimeBody(t *testing.T, req runtimeRequest) []byte {
 			t.Fatalf("workers=%d result differs from workers=1", workers)
 		}
 	}
-	want, err := json.Marshal(runtimeResponse{Result: *ref, Gain: ref.Gain(), Efficiency: ref.Efficiency()})
+	want, err := json.Marshal(engine.RuntimeResponse{Result: *ref, Gain: ref.Gain(), Efficiency: ref.Efficiency()})
 	if err != nil {
 		t.Fatal(err)
 	}

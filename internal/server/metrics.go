@@ -121,7 +121,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	metrics.WriteGauge(&b, "ulba_cache_bytes", float64(st.Cache.Bytes))
 
 	metrics.WriteCounter(&b, "ulba_jobs_submitted_total", st.Jobs.Submitted)
-	metrics.WriteCounter(&b, "ulba_jobs_stolen_total", st.Jobs.Stolen)
 	metrics.WriteCounter(&b, "ulba_jobs_shed_total", st.Jobs.Shed)
 	metrics.WriteGauge(&b, "ulba_jobs_queue_limit", float64(st.Jobs.QueueLimit))
 	metrics.WriteGauge(&b, "ulba_jobs_queued", float64(st.Jobs.Queued))
@@ -134,7 +133,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	metrics.WriteCounter(&b, "ulba_cluster_forwarded_in_total", st.Node.ForwardedIn)
 	metrics.WriteCounter(&b, "ulba_cluster_replicas_received_total", st.Node.ReplicasReceived)
-	metrics.WriteCounter(&b, "ulba_cluster_steals_served_total", st.Node.StealsServed)
 	if cs := st.Node.Cluster; cs != nil {
 		metrics.WriteGauge(&b, "ulba_cluster_size", float64(cs.Size))
 		metrics.WriteGauge(&b, "ulba_cluster_live", float64(cs.Live))

@@ -84,10 +84,9 @@ type Config struct {
 
 	// Cluster, when non-nil, joins this server to a multi-replica cluster
 	// (cmd/ulba-serve: -peers/-self/-replication): requests are forwarded
-	// to the owner replicas of their content address, completed bodies are
-	// replicated across each key's replica set, and idle replicas steal
-	// queued jobs from loaded ones. Nil serves standalone; the
-	// /v1/cluster/* routes are registered either way.
+	// to the owner replicas of their content address, and completed bodies
+	// are replicated across each key's replica set. Nil serves standalone;
+	// the /v1/cluster/* routes are registered either way.
 	Cluster *cluster.Options
 }
 
@@ -118,7 +117,6 @@ type Server struct {
 
 	forwardedIn      atomic.Uint64
 	replicasReceived atomic.Uint64
-	stealsServed     atomic.Uint64
 }
 
 // New builds a Server from cfg (see Config for the zero-value defaults).
@@ -214,7 +212,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/cluster", s.handleClusterStatus)
 	s.route("POST /v1/cluster/gossip", s.handleClusterGossip)
 	s.route("POST /v1/cluster/replicate", s.handleClusterReplicate)
-	s.route("POST /v1/cluster/steal", s.handleClusterSteal)
 	if s.node != nil {
 		s.node.Start()
 	}
@@ -239,16 +236,16 @@ func (s *Server) Routes() []string {
 
 // Close shuts the asynchronous machinery down: no new jobs, queued jobs
 // cancelled, running jobs given until ctx expires before their contexts are
-// cancelled (their checkpoints persist either way), then the store is
-// closed. The HTTP handler itself is stateless — shut the http.Server down
-// first, then Close.
+// cancelled (their checkpoints persist either way), then the cluster node
+// stops, then the store is closed. The HTTP handler itself is stateless —
+// shut the http.Server down first, then Close.
 func (s *Server) Close(ctx context.Context) error {
+	err := s.manager.Close(ctx)
 	if s.node != nil {
-		// Stop the gossip/steal loops (and wait out in-flight replica
-		// pushes) before draining jobs, so nothing new arrives mid-drain.
+		// Only after the drain: a job finishing during it persists its body
+		// and starts replica pushes, which the node's Close waits out.
 		s.node.Close()
 	}
-	err := s.manager.Close(ctx)
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
 			err = cerr

@@ -158,7 +158,7 @@ func TestSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(sweepResponse{Summary: summary, Comparisons: comps})
+	want, err := json.Marshal(engine.SweepResponse{Summary: summary, Comparisons: comps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRuntimeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(runtimeResponse{Result: res, Gain: res.Gain(), Efficiency: res.Efficiency()})
+	want, err := json.Marshal(engine.RuntimeResponse{Result: res, Gain: res.Gain(), Efficiency: res.Efficiency()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRuntimeSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(runtimeSweepResponse{Summary: summary, Results: results})
+	want, err := json.Marshal(engine.RuntimeSweepResponse{Summary: summary, Results: results})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSweepStream(t *testing.T) {
 
 	seen := make(map[int]bool)
 	comps := make([]ulba.Comparison, n)
-	var tail sweepStreamTail
+	var tail engine.SweepStreamTail
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 1<<20)
 	lines := 0
@@ -455,7 +455,7 @@ func TestExperimentCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	gain, avoided := cmp.Gain(), cmp.CallsAvoided()
-	want, err := json.Marshal(experimentResponse{
+	want, err := json.Marshal(engine.ExperimentResponse{
 		Result: cmp.Result, Baseline: &cmp.Baseline, Gain: &gain, CallsAvoided: &avoided,
 	})
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 	"ulba/internal/loadgen"
 )
 
-// soakMix is a scaled-down request blend for the in-process soak tests:
-// the same three endpoint families as the default mix, small enough that a
-// few hundred requests finish quickly even under -race.
+// soakMix is a small request blend for the in-process soak tests: three
+// endpoint families, sized so that a few hundred requests finish quickly
+// even under -race.
 func soakMix() []loadgen.MixEntry {
 	return []loadgen.MixEntry{
 		{Endpoint: "sweep", Weight: 6, Distinct: 8, Size: 20},
@@ -72,10 +72,8 @@ func TestSoakStandalone(t *testing.T) {
 	const n = 600
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
 		Targets:     []string{ts.URL},
-		Arrival:     loadgen.ArrivalClosed,
 		Clients:     32,
 		MaxRequests: n,
-		Seed:        42,
 		Mix:         soakMix(),
 	})
 	if err != nil {
@@ -84,8 +82,8 @@ func TestSoakStandalone(t *testing.T) {
 	if err := rep.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Offered != n || rep.Completed != n || rep.Dropped != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("accounting = %+v, want %d offered = completed", rep, n)
+	if rep.Completed != n || rep.TransportErrors != 0 {
+		t.Fatalf("accounting = %+v, want %d completed", rep, n)
 	}
 	if rep.Shed != 0 {
 		t.Fatalf("shed %d requests below the admission limit", rep.Shed)
@@ -136,10 +134,8 @@ func TestSoakOverloadShedsExactly(t *testing.T) {
 	const n = 400
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
 		Targets:     []string{ts.URL},
-		Arrival:     loadgen.ArrivalClosed,
 		Clients:     16,
 		MaxRequests: n,
-		Seed:        7,
 		Mix:         []loadgen.MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 64, Size: 10}},
 	})
 	if err != nil {
@@ -148,7 +144,7 @@ func TestSoakOverloadShedsExactly(t *testing.T) {
 	if err := rep.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed != n || rep.Offered != n {
+	if rep.Completed != n {
 		t.Fatalf("closed loop lost requests: %+v", rep)
 	}
 	if rep.Shed == 0 {
@@ -174,11 +170,9 @@ func TestSoakThousandClients(t *testing.T) {
 	defer client.CloseIdleConnections()
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
 		Targets:     []string{ts.URL},
-		Arrival:     loadgen.ArrivalClosed,
 		Client:      client,
 		Clients:     clients,
 		MaxRequests: n,
-		Seed:        11,
 		Mix:         []loadgen.MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 4, Size: 8}},
 	})
 	if err != nil {
@@ -186,9 +180,6 @@ func TestSoakThousandClients(t *testing.T) {
 	}
 	if err := rep.Verify(); err != nil {
 		t.Fatal(err)
-	}
-	if rep.Clients != clients {
-		t.Fatalf("ran %d clients, want %d", rep.Clients, clients)
 	}
 	if rep.Completed != n || rep.Mismatches != 0 {
 		t.Fatalf("accounting = %+v, want %d completed, 0 mismatches", rep, n)
@@ -215,10 +206,8 @@ func TestSoakCluster(t *testing.T) {
 	const n = 300
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
 		Targets:     urls,
-		Arrival:     loadgen.ArrivalClosed,
 		Clients:     24,
 		MaxRequests: n,
-		Seed:        5,
 		Mix: []loadgen.MixEntry{
 			{Endpoint: "sweep", Weight: 3, Distinct: 8, Size: 10},
 			{Endpoint: "runtime", Weight: 1, Distinct: 4, Size: 8},
@@ -279,7 +268,6 @@ func TestSoakClusterChurn(t *testing.T) {
 			Peers:          urls,
 			Replication:    2,
 			GossipInterval: 20 * time.Millisecond,
-			StealInterval:  20 * time.Millisecond,
 		}}
 	}
 	servers := make([]*Server, 3)
@@ -318,8 +306,7 @@ func TestSoakClusterChurn(t *testing.T) {
 	// forwards, replication), so the real soak below adds no steady-state
 	// connection goroutines the baseline has not already seen.
 	if _, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets: urls[:2], Arrival: loadgen.ArrivalClosed, Client: client,
-		Clients: 8, MaxRequests: 60, Seed: 99,
+		Targets: urls[:2], Client: client, Clients: 8, MaxRequests: 60,
 		Mix: []loadgen.MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 6, Size: 10}},
 	}); err != nil {
 		t.Fatal(err)
@@ -335,11 +322,9 @@ func TestSoakClusterChurn(t *testing.T) {
 			// Traffic goes to the two survivors only; node 2 participates
 			// through forwarding, dies, and comes back mid-run.
 			Targets:     urls[:2],
-			Arrival:     loadgen.ArrivalClosed,
 			Client:      client,
 			Clients:     16,
 			MaxRequests: n,
-			Seed:        13,
 			Mix: []loadgen.MixEntry{
 				{Endpoint: "sweep", Weight: 3, Distinct: 12, Size: 10},
 				{Endpoint: "runtime", Weight: 1, Distinct: 6, Size: 8},
