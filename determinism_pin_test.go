@@ -12,6 +12,7 @@ import (
 
 	"ulba"
 	"ulba/internal/cli"
+	"ulba/internal/engine"
 	"ulba/internal/schedule"
 	"ulba/internal/server"
 )
@@ -190,6 +191,61 @@ func TestDeterminismPinServedSweep(t *testing.T) {
 	checkPins(t, []pin{
 		{"response_sha256", sha256Hex(rec.Body.Bytes()), "0ab477f5c6c1f40b53e4383f0fb42860a7c203a14115b449d92feddb4158b12f"},
 	})
+}
+
+// The served erosion application (§IV-B, Algorithm 2): the benchmark's
+// erosion-cold body (ULBA against its standard baseline, p=8, 40
+// iterations) at two rock seeds; a comparison under adaptive alpha at p=16
+// over 80 iterations, long enough for ULBA to underload the overloading PE
+// and save an LB call; and one standard run on the recursive-bisection
+// partitioner. Gain and the baseline's LB calls exist only for a
+// comparison; without one they are pinned absent (nil and -1).
+func TestDeterminismPinErosionCompare(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	cases := []struct {
+		body         string
+		sha          string
+		gain         any
+		lb, baseline int
+	}{
+		{`{"p":8,"method":"ulba","iterations":40,"seed":2019,"compare":true}`,
+			"d8ebc7924f2c00ea972e70de8dfd548f72c4c89a1f698d0fa75ea6e36d8415a7", 0.0, 2, 2},
+		{`{"p":8,"method":"ulba","iterations":40,"seed":2020,"compare":true}`,
+			"029929ba1e0409e083be55d60fb62fa5b9f8eefc9631938528a42efb2844096c", 0.0, 2, 2},
+		{`{"p":16,"method":"ulba","adaptive_alpha":true,"iterations":80,"seed":2019,"compare":true}`,
+			"eef68db28d5bedd1b6026698167044547c50d5da9e6099c38ebdb184213fa10a", 0.04913699802751238, 2, 3},
+		{`{"p":8,"iterations":40,"seed":2019,"rcb":true}`,
+			"7a03f70ebe955fd96253d09fd5d5a85d9f233a241d550bd44f12533daddfdc9a", nil, 2, -1},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/experiment", strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.body, rec.Code, rec.Body)
+		}
+		var resp engine.ExperimentResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		var gain any
+		if resp.Gain != nil {
+			gain = *resp.Gain
+		}
+		baseline := -1
+		if resp.Baseline != nil {
+			baseline = resp.Baseline.LBCount()
+		}
+		checkPins(t, []pin{
+			{c.body + " response_sha256", sha256Hex(rec.Body.Bytes()), c.sha},
+			{c.body + " gain", gain, c.gain},
+			{c.body + " lb_calls", resp.Result.LBCount(), c.lb},
+			{c.body + " baseline_lb_calls", baseline, c.baseline},
+		})
+	}
 }
 
 // The allocation gate of the runtime engine's clock-replay path: mallocs
