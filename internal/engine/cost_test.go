@@ -56,6 +56,50 @@ func TestScenarioCostCeiling(t *testing.T) {
 	}
 }
 
+// TestExperimentCostCeiling pins the two ceilings of /v1/experiment at
+// decode: at most 256 PEs, and at most 131,072 PE-iterations, with omitted
+// iterations counted as New's default run length.
+func TestExperimentCostCeiling(t *testing.T) {
+	const limit = "exceeds the per-experiment limit"
+	cases := []struct {
+		name, raw string
+		ok        bool
+	}{
+		{"PEs at the ceiling", `{"p":256}`, true},
+		{"PEs one over", `{"p":257,"iterations":1}`, false},
+		{"a million PEs", `{"p":1000000}`, false},
+		{"the paper's largest run", `{"p":256,"iterations":450,"method":"ulba","compare":true}`, true},
+		{"PE-iterations at the ceiling", `{"p":256,"iterations":512}`, true},
+		{"PE-iterations one over", `{"p":256,"iterations":513}`, false},
+		{"PE-iterations one over at p=8", `{"p":8,"iterations":16385}`, false},
+		{"a billion iterations", `{"p":8,"iterations":1000000000}`, false},
+		{"overflowing p x iterations", `{"p":8,"iterations":9000000000000000000}`, false},
+		{"overflowing p and iterations", `{"p":9000000000000000000,"iterations":9000000000000000000}`, false},
+	}
+	d, _ := ByType("experiment")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := d.Decode([]byte(c.raw))
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("decode rejected %s: %v", c.raw, err)
+			case !c.ok && err == nil:
+				t.Fatalf("decode accepted %s", c.raw)
+			case !c.ok && !strings.Contains(err.Error(), limit):
+				t.Fatalf("error %q is not the cost ceiling", err)
+			}
+		})
+	}
+	// The ceiling counts omitted iterations as the run New would build.
+	inst, err := experimentEngine{}.Decode([]byte(`{"p":8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.exp.Config().Iterations; got != defaultExperimentIterations {
+		t.Fatalf("New runs %d iterations by default, the ceiling assumes %d", got, defaultExperimentIterations)
+	}
+}
+
 // TestRuntimeDecodeStaysCheap pins that decoding a runtime body does no work
 // proportional to the scenario grid: the weight table (1024 items x 200
 // iterations = 1.6 MB here) is built on the first run, never at decode, so

@@ -61,6 +61,31 @@ func checkScenarioCells(items, iterations int) error {
 	return nil
 }
 
+// An erosion experiment holds a StripeWidth x Height stripe per PE and
+// steps every stripe each iteration, so its cost grows with p and with
+// p x iterations. maxExperimentPEs is the paper's largest PE count;
+// maxExperimentPEIterations admits the paper's longest run at that count
+// (256 PEs x 450 iterations). defaultExperimentIterations is the run length
+// ulba.New uses when a request omits iterations.
+const (
+	maxExperimentPEs            = 256
+	maxExperimentPEIterations   = 131072
+	defaultExperimentIterations = 120
+)
+
+// checkExperimentCost rejects an experiment above maxExperimentPEs or above
+// maxExperimentPEIterations, without overflowing on hostile sizes.
+func checkExperimentCost(p, iterations int) error {
+	if p > maxExperimentPEs {
+		return fmt.Errorf("experiment of %d PEs exceeds the per-experiment limit of %d PEs", p, maxExperimentPEs)
+	}
+	if p > 0 && iterations > 0 && p > maxExperimentPEIterations/iterations {
+		return fmt.Errorf("experiment of %d PEs x %d iterations exceeds the per-experiment limit of %d PE-iterations",
+			p, iterations, maxExperimentPEIterations)
+	}
+	return nil
+}
+
 // ModelSpec is the wire form of ulba.ModelParams (Table I). delta_w may be
 // omitted: it is then derived as a*P + m*N, the only value Validate accepts.
 type ModelSpec struct {
@@ -184,7 +209,16 @@ type ExperimentRequest struct {
 	Workers int  `json:"workers,omitempty"`
 }
 
+// build validates the request into a ready experiment. The cost ceiling is
+// checked first, before a planner would plan over the requested run length.
 func (r ExperimentRequest) build() (*ulba.Experiment, error) {
+	iterations := r.Iterations
+	if iterations == 0 {
+		iterations = defaultExperimentIterations
+	}
+	if err := checkExperimentCost(r.P, iterations); err != nil {
+		return nil, err
+	}
 	opts := []ulba.Option{ulba.WithWorkers(r.Workers)}
 	switch r.Method {
 	case "", "standard":

@@ -21,6 +21,7 @@ package erosion
 
 import (
 	"fmt"
+	"math"
 
 	"ulba/internal/stats"
 )
@@ -143,7 +144,9 @@ func (c Config) InDisc(x, y int) bool {
 	return dx*dx+dy*dy <= r*r
 }
 
-// InitialCell returns the state of cell (x, y) at iteration 0.
+// InitialCell returns the state of cell (x, y) at iteration 0. NewDomain
+// builds whole columns from discSpan instead; InitialCell is the per-cell
+// reference it must agree with.
 func (c Config) InitialCell(x, y int) Cell {
 	if c.InDisc(x, y) {
 		return Rock
@@ -151,11 +154,36 @@ func (c Config) InitialCell(x, y int) Cell {
 	return Fluid
 }
 
+// discSpan returns the rows [y0, y1) of column x that InDisc accepts. The
+// disc is convex, so they form one run around the disc's centre row. A
+// square root places both ends with a row of margin, so the run lies
+// inside [y0, y1) however the root rounds; the InDisc inequality itself
+// then trims each end to the run's first and last rows. A column the disc
+// misses yields an empty run.
+func (c Config) discSpan(x int) (y0, y1 int) {
+	dx := float64(x) - (float64(c.DiscOf(x))*float64(c.StripeWidth) + float64(c.StripeWidth)/2 - 0.5)
+	r := float64(c.Radius)
+	if dx*dx > r*r {
+		return 0, 0
+	}
+	cy := float64(c.Height)/2 - 0.5
+	half := math.Sqrt(r*r - dx*dx)
+	y0 = max(int(math.Ceil(cy-half))-1, 0)
+	y1 = min(int(math.Floor(cy+half))+2, c.Height)
+	for y0 < y1 && !c.InDisc(x, y0) {
+		y0++
+	}
+	for y1 > y0 && !c.InDisc(x, y1-1) {
+		y1--
+	}
+	return y0, y1
+}
+
 // erodes reports the counter-based erosion decision for rock cell (x, y)
-// with k fluid neighbors at iteration iter, where prob is its disc's
-// per-neighbor erosion probability. Each fluid neighbor independently
-// attempts to erode the cell: P(erode) = 1 - (1-prob)^k.
-func (c Config) erodes(iter, x, y, k int, prob float64) bool {
+// with k fluid neighbors at iteration iter under the instance seed, where
+// prob is its disc's per-neighbor erosion probability. Each fluid neighbor
+// independently attempts to erode the cell: P(erode) = 1 - (1-prob)^k.
+func erodes(seed uint64, iter, x, y, k int, prob float64) bool {
 	if k <= 0 {
 		return false
 	}
@@ -163,7 +191,7 @@ func (c Config) erodes(iter, x, y, k int, prob float64) bool {
 	for i := 0; i < k; i++ {
 		q *= 1 - prob
 	}
-	return stats.HashUniform(c.Seed, uint64(iter), uint64(x), uint64(y)) < 1-q
+	return stats.HashUniform(seed, uint64(iter), uint64(x), uint64(y)) < 1-q
 }
 
 // Domain holds the contiguous column range [Lo, Hi) of one PE, with
@@ -188,6 +216,11 @@ type colRow struct {
 
 // NewDomain builds the initial state of columns [lo, hi). A full-domain
 // instance (lo = 0, hi = cfg.Width()) doubles as the sequential reference.
+//
+// Each column is built from its disc span rather than cell by cell: the
+// column starts as fluid, the run discSpan returns becomes rock, and the
+// column's weight and rock index follow from the run's length. The owned
+// columns share one cell array.
 func NewDomain(cfg Config, lo, hi int) *Domain {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -204,18 +237,25 @@ func NewDomain(cfg Config, lo, hi int) *Domain {
 			d.probs[s] = cfg.ProbWeak
 		}
 	}
-	n := hi - lo
+	n, h := hi-lo, cfg.Height
+	cells := make([]Cell, n*h)
+	for i := range cells {
+		cells[i] = Fluid
+	}
 	d.cols = make([][]Cell, n)
 	d.weights = make([]float64, n)
 	d.rockRows = make([][]int32, n)
-	for ci := 0; ci < n; ci++ {
-		x := lo + ci
-		col := make([]Cell, cfg.Height)
-		for y := 0; y < cfg.Height; y++ {
-			col[y] = cfg.InitialCell(x, y)
+	for ci := range d.cols {
+		col := cells[ci*h : (ci+1)*h : (ci+1)*h]
+		y0, y1 := cfg.discSpan(lo + ci)
+		rocks := make([]int32, y1-y0)
+		for i := range rocks {
+			rocks[i] = int32(y0 + i)
+			col[y0+i] = Rock
 		}
 		d.cols[ci] = col
-		d.reindexColumn(ci)
+		d.weights[ci] = float64(h - len(rocks))
+		d.rockRows[ci] = rocks
 	}
 	return d
 }
@@ -371,7 +411,7 @@ func (d *Domain) Step(iter int, left, right []Cell) int {
 			if int(y) < h-1 && col[y+1].IsFluid() {
 				k++
 			}
-			if k > 0 && d.cfg.erodes(iter, x, int(y), k, prob) {
+			if k > 0 && erodes(d.cfg.Seed, iter, x, int(y), k, prob) {
 				erodeList = append(erodeList, colRow{ci: ci, y: y})
 			}
 		}

@@ -1,7 +1,10 @@
 package erosion
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +118,75 @@ func TestDiscGeometry(t *testing.T) {
 		for y := 0; y < c.Height; y++ {
 			if d.Cell(x, y) == Rock {
 				t.Fatalf("rock at stripe boundary column %d row %d", x, y)
+			}
+		}
+	}
+}
+
+// cellByCell builds columns [lo, hi) the per-cell way: every cell from
+// InitialCell, then each column's weight and rock index from reindexColumn.
+// It is the reference the span build of NewDomain must reproduce.
+func cellByCell(cfg Config, lo, hi int) *Domain {
+	n := hi - lo
+	d := &Domain{cfg: cfg, lo: lo, hi: hi,
+		cols: make([][]Cell, n), weights: make([]float64, n), rockRows: make([][]int32, n)}
+	for ci := range d.cols {
+		col := make([]Cell, cfg.Height)
+		for y := range col {
+			col[y] = cfg.InitialCell(lo+ci, y)
+		}
+		d.cols[ci] = col
+		d.reindexColumn(ci)
+	}
+	return d
+}
+
+// Property: NewDomain's span build equals the per-cell build, cell for
+// cell, over random geometries. Both parities of StripeWidth and Height put
+// the disc centre on a whole or a half column and row; the radius runs from
+// 1 to the largest Validate accepts; column ranges start and end inside a
+// disc, beside the full domain and the runner's one-stripe ranges.
+func TestSpanBuildMatchesInitialCellProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2019, 18))
+	// discColumn draws a column of stripe s that the disc crosses.
+	discColumn := func(cfg Config, s int) int {
+		cx := float64(s*cfg.StripeWidth) + float64(cfg.StripeWidth-1)/2
+		first := int(math.Ceil(cx - float64(cfg.Radius)))
+		last := int(math.Floor(cx + float64(cfg.Radius)))
+		return first + rng.IntN(last-first+1)
+	}
+	for trial := range 600 {
+		cfg := testConfig(1 + rng.IntN(3))
+		cfg.StripeWidth = 2*(2+rng.IntN(30)) + trial%2
+		cfg.Height = 2*(2+rng.IntN(30)) + trial/2%2
+		cfg.Radius = 1 + rng.IntN((min(cfg.StripeWidth, cfg.Height)-1)/2)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("trial %d: generated geometry invalid: %v", trial, err)
+		}
+		s0 := rng.IntN(cfg.P)
+		s1 := s0 + rng.IntN(cfg.P-s0)
+		lo := discColumn(cfg, s0)
+		hi := max(discColumn(cfg, s1), lo) + 1
+		stripe := rng.IntN(cfg.P) * cfg.StripeWidth
+		for _, r := range [][2]int{{0, cfg.Width()}, {stripe, stripe + cfg.StripeWidth}, {lo, hi}} {
+			got, want := NewDomain(cfg, r[0], r[1]), cellByCell(cfg, r[0], r[1])
+			where := fmt.Sprintf("trial %d: W=%d H=%d r=%d range [%d, %d)",
+				trial, cfg.StripeWidth, cfg.Height, cfg.Radius, r[0], r[1])
+			if got.RockCount() != want.RockCount() {
+				t.Fatalf("%s: %d rock cells, per-cell build has %d", where, got.RockCount(), want.RockCount())
+			}
+			for x := r[0]; x < r[1]; x++ {
+				for y := 0; y < cfg.Height; y++ {
+					if got.Cell(x, y) != cfg.InitialCell(x, y) {
+						t.Fatalf("%s: cell (%d,%d) = %d, InitialCell says %d", where, x, y, got.Cell(x, y), cfg.InitialCell(x, y))
+					}
+				}
+				if got.ColWeight(x) != want.ColWeight(x) {
+					t.Fatalf("%s: column %d weight %v, per-cell build %v", where, x, got.ColWeight(x), want.ColWeight(x))
+				}
+				if ci := x - r[0]; !slices.Equal(got.rockRows[ci], want.rockRows[ci]) {
+					t.Fatalf("%s: column %d rock rows %v, per-cell build %v", where, x, got.rockRows[ci], want.rockRows[ci])
+				}
 			}
 		}
 	}

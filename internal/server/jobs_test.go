@@ -120,6 +120,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"invalid inner request", `{"type":"sweep","request":{"bogus":1}}`, "bogus"},
 		{"inner validation", `{"type":"sweep","request":{}}`, "needs instances, sample, or both"},
 		{"unknown envelope field", `{"type":"sweep","request":{},"extra":1}`, "extra"},
+		{"experiment over the cost ceiling", `{"type":"experiment","request":{"p":1000000}}`, "per-experiment limit"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -98,6 +98,8 @@ func TestRequestValidation(t *testing.T) {
 		{"planner knob mismatch", "/v1/sweep", `{"sample":{"seed":1,"n":2},"planner":{"name":"sigma+","every":5}}`, 400, "no configuration knobs"},
 		{"periodic planner bad every", "/v1/sweep", `{"sample":{"seed":1,"n":2},"planner":{"name":"periodic","every":-1}}`, 400, "every > 0"},
 		{"experiment bad PE count", "/v1/experiment", `{"p": 0}`, 400, "positive PE count"},
+		{"experiment too many PEs", "/v1/experiment", `{"p": 1000000}`, 400, "per-experiment limit"},
+		{"experiment too long", "/v1/experiment", `{"p": 8, "iterations": 1000000000}`, 400, "per-experiment limit"},
 		{"experiment unknown method", "/v1/experiment", `{"p": 4, "method": "magic"}`, 400, "unknown method"},
 		{"experiment alpha out of range", "/v1/experiment", `{"p": 4, "alpha": 1.5}`, 400, "out of [0,1]"},
 		{"experiment unknown trigger", "/v1/experiment", `{"p": 4, "trigger":{"name":"nope"}}`, 400, "unknown trigger"},
