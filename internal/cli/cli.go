@@ -1,12 +1,13 @@
 // Package cli holds the policy-selection and experiment-driving helpers the
-// cmd/ binaries share: configuring registry-built planners and triggers from
-// flag values, and the Fig. 3 sweep loop over the public Sweep engine.
+// ulba command and the engines' sampled requests share: configuring
+// registry-built planners, triggers and workloads from flag values, the
+// pinned scenario samplers, and the Fig. 3 sweep loop over the public Sweep
+// engine.
 package cli
 
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"ulba"
 	"ulba/internal/instance"
@@ -95,49 +96,15 @@ func RunFig3Sweep(ctx context.Context, planner ulba.Planner, instancesPerBucket,
 	return buckets, nil
 }
 
-// ConfigureWorkload applies the flag-level knobs to a registry-built
-// workload: the seed for the generator workloads, and a replacement
-// recording for the trace workload when traceFile is non-empty. Workloads
-// without a seed knob pass through unchanged.
-func ConfigureWorkload(w ulba.Workload, seed uint64, traceFile string) (ulba.Workload, error) {
-	switch wl := w.(type) {
-	case ulba.StationaryWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.LinearWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.ExponentialWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.BurstyWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.OutlierWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.MiniFEWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.AMRWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.TargetImbalanceWorkload:
-		wl.Seed = seed
-		return wl, nil
-	case ulba.TraceWorkload:
-		if traceFile == "" {
-			return wl, nil
-		}
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ulba.LoadTraceWorkload(f)
-	default:
-		return w, nil
+// SeededWorkload is the spec of the named registry workload under seed.
+// The trace workload has no seed knob, so it replays its default
+// recording whatever the seed.
+func SeededWorkload(name string, seed uint64) *ulba.WorkloadSpec {
+	spec := &ulba.WorkloadSpec{Name: name}
+	if name != "trace" {
+		spec.Seed = seed
 	}
+	return spec
 }
 
 // WarmupDisabled mirrors the experiment builders' warmup rule for CLI
@@ -156,17 +123,13 @@ func WarmupDisabled(t ulba.Trigger) bool {
 // BuildAssessmentScenarios samples n assessment scenario columns from the
 // seed: the same pinned SampleSynthScenarios sequence BuildScenarios draws,
 // expressed as scenario specs so every assessment criterion constructs its
-// own runs over one shared column set. The trace workload has no seed knob,
-// so its columns replay the registry default recording.
+// own runs over one shared column set.
 func BuildAssessmentScenarios(seed uint64, n int) []ulba.AssessmentScenario {
 	scens := instance.NewGenerator(seed).SampleSynthScenarios(ulba.WorkloadNames(), n)
 	out := make([]ulba.AssessmentScenario, len(scens))
 	for i, sc := range scens {
-		spec := &ulba.WorkloadSpec{Name: sc.Workload}
-		if sc.Workload != "trace" {
-			spec.Seed = sc.Seed
-		}
-		out[i] = ulba.AssessmentScenario{P: sc.P, Iterations: sc.Iterations, Workload: spec}
+		out[i] = ulba.AssessmentScenario{P: sc.P, Iterations: sc.Iterations,
+			Workload: SeededWorkload(sc.Workload, sc.Seed)}
 	}
 	return out
 }
@@ -174,19 +137,15 @@ func BuildAssessmentScenarios(seed uint64, n int) []ulba.AssessmentScenario {
 // BuildScenarios samples n runtime scenarios (cycling every registered
 // workload) from the seed and turns them into ready-to-run
 // RuntimeExperiments under the default degradation trigger. It is the
-// bridge the runtime sweep drivers (the benchmark harness, the ulba-runtime
-// sweep mode, the golden worker-invariance test) share: the whole pinned
+// bridge the runtime sweep drivers (the served sample path, `ulba runtime
+// -sweep`, the golden worker-invariance test) share: the whole pinned
 // sampling sequence lives here, so every driver runs the exact same
 // scenario set for a given seed.
 func BuildScenarios(seed uint64, n int) ([]*ulba.RuntimeExperiment, []instance.SynthScenario, error) {
 	scens := instance.NewGenerator(seed).SampleSynthScenarios(ulba.WorkloadNames(), n)
 	exps := make([]*ulba.RuntimeExperiment, len(scens))
 	for i, sc := range scens {
-		w, err := ulba.NewWorkload(sc.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		w, err = ConfigureWorkload(w, sc.Seed, "")
+		w, err := SeededWorkload(sc.Workload, sc.Seed).Workload()
 		if err != nil {
 			return nil, nil, err
 		}

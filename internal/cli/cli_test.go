@@ -72,3 +72,24 @@ func TestRunFig3SweepMatchesSimulate(t *testing.T) {
 		t.Errorf("visit called %d times, want %d", visits, n*len(want))
 	}
 }
+
+// SeededWorkload carries the seed into every generator workload and leaves
+// it off the trace workload, which has no seed knob.
+func TestSeededWorkload(t *testing.T) {
+	if spec := SeededWorkload("trace", 5); spec.Seed != 0 {
+		t.Errorf("trace spec carries seed %d", spec.Seed)
+	}
+	if _, err := SeededWorkload("trace", 5).Workload(); err != nil {
+		t.Errorf("trace: %v", err)
+	}
+	w, err := SeededWorkload("linear", 5).Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lw, ok := w.(ulba.LinearWorkload); !ok || lw != (ulba.LinearWorkload{Seed: 5}) {
+		t.Errorf("linear resolved to %#v, want the registry default with seed 5", w)
+	}
+	if _, err := SeededWorkload("bogus", 5).Workload(); err == nil {
+		t.Error("an unknown workload name resolved")
+	}
+}

@@ -5,7 +5,7 @@
 //
 // Everything on the hot path is a single atomic add — no locks, no
 // allocation — so instrumentation stays honest under the very load it is
-// meant to measure. Reads (quantiles, rendering) take a point-in-time
+// meant to measure. Reads (rendering) take a point-in-time
 // snapshot of the atomics; they are monotone but not transactionally
 // consistent with concurrent writers, which is the standard contract for
 // scrape-style metrics.
@@ -24,7 +24,8 @@ import (
 
 // The histogram is log-linear (HDR-style): values are bucketed by their
 // power-of-two octave, and each octave is split into 2^subBits linear
-// sub-buckets, bounding the relative quantile error by 2^-subBits (6.25%).
+// sub-buckets, bounding the relative error of a quantile read off the
+// buckets by 2^-subBits (6.25%).
 // Values are nanoseconds; the covered range is [0, 2^(subBits+octaves)),
 // about nine minutes, beyond which values clamp into the top bucket.
 const (
@@ -91,7 +92,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 
 // Snapshot copies the histogram's atomics into an immutable value for
-// quantile math and rendering.
+// rendering.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count.Load(),
@@ -105,9 +106,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile is shorthand for Snapshot().Quantile(q).
-func (h *Histogram) Quantile(q float64) time.Duration { return h.Snapshot().Quantile(q) }
-
 type bucketCount struct {
 	index int
 	count uint64
@@ -118,37 +116,6 @@ type HistogramSnapshot struct {
 	Count   uint64
 	SumNs   uint64
 	buckets []bucketCount // non-empty buckets, ascending index
-}
-
-// Quantile returns an upper bound on the q-th quantile (0 <= q <= 1) of
-// the recorded values, within the histogram's 6.25% relative error. An
-// empty snapshot returns 0.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// rank is the 1-based index of the order statistic we want.
-	rank := uint64(q*float64(s.Count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var seen uint64
-	for _, b := range s.buckets {
-		seen += b.count
-		if seen >= rank {
-			return time.Duration(bucketUpperNs(b.index))
-		}
-	}
-	return time.Duration(bucketUpperNs(numBuckets - 1))
 }
 
 // maxStatus bounds the per-family status-code table; HTTP status codes
@@ -175,9 +142,6 @@ func (f *Family) Observe(status int, d time.Duration) {
 	}
 	f.statuses[status].Add(1)
 }
-
-// Latency exposes the family's histogram for quantile reads.
-func (f *Family) Latency() *Histogram { return &f.latency }
 
 // Count returns the total observations across all status codes.
 func (f *Family) Count() uint64 { return f.latency.Count() }

@@ -3,7 +3,9 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,9 +36,10 @@ func TestBucketLayout(t *testing.T) {
 	}
 }
 
-// TestQuantileRelativeError checks the advertised 6.25% bound: the
-// reported quantile of a known distribution is an upper bound within one
-// sub-bucket of the true order statistic.
+// TestQuantileRelativeError checks the advertised 6.25% bound: a quantile
+// read off the snapshot's buckets the way a scrape consumer reads it (the
+// upper bound of the bucket holding the order statistic) is an upper bound
+// within one sub-bucket of the true value.
 func TestQuantileRelativeError(t *testing.T) {
 	var h Histogram
 	values := make([]int64, 0, 10000)
@@ -47,15 +50,22 @@ func TestQuantileRelativeError(t *testing.T) {
 		values = append(values, v)
 		h.Record(time.Duration(v))
 	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d, want 10000", h.Count())
+	s := h.Snapshot()
+	if s.Count != 10000 {
+		t.Fatalf("count = %d, want 10000", s.Count)
 	}
+	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		idx := int(q*float64(len(values))+0.5) - 1
-		sorted := append([]int64(nil), values...)
-		sortInt64(sorted)
-		truth := float64(sorted[idx])
-		got := float64(h.Quantile(q))
+		rank := int(q*float64(len(values)) + 0.5)
+		truth := float64(values[rank-1])
+		var got float64
+		seen := 0
+		for _, b := range s.buckets {
+			if seen += int(b.count); seen >= rank {
+				got = float64(bucketUpperNs(b.index))
+				break
+			}
+		}
 		if got < truth {
 			t.Errorf("q=%g: estimate %g below true value %g", q, got, truth)
 		}
@@ -65,28 +75,19 @@ func TestQuantileRelativeError(t *testing.T) {
 	}
 }
 
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
+// TestHistogramEdges checks the clamps through the snapshot's buckets:
+// negative durations count as zero, and values past the covered range land
+// in the top bucket.
 func TestHistogramEdges(t *testing.T) {
 	var h Histogram
 	h.Record(-time.Second)   // clamps to 0
 	h.Record(0)              //
 	h.Record(24 * time.Hour) // clamps into the top bucket
 	h.Record(time.Duration(1 << 62))
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
-	}
-	if q := h.Quantile(0.25); q != 0 {
-		t.Errorf("q0.25 = %v, want 0", q)
-	}
-	if q := h.Quantile(1); q < time.Duration(bucketUpperNs(numBuckets-1)) {
-		t.Errorf("q1 = %v, below top bucket", q)
+	s := h.Snapshot()
+	want := []bucketCount{{index: 0, count: 2}, {index: numBuckets - 1, count: 2}}
+	if s.Count != 4 || !reflect.DeepEqual(s.buckets, want) {
+		t.Errorf("snapshot count %d buckets %+v, want 4 and %+v", s.Count, s.buckets, want)
 	}
 }
 

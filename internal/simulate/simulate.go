@@ -228,70 +228,87 @@ func AnnealSchedule(p model.Params, steps int, seed uint64) schedule.Schedule {
 	return schedule.FromBools(res.Best)
 }
 
-// ParallelMap applies f to every element of in with at most workers
-// goroutines, preserving input order in the output. workers <= 0 selects
-// GOMAXPROCS. Because each slot is computed independently and written to
-// its own index, the result is identical for every worker count — the same
-// invariance the public ulba.Sweep engine guarantees for streamed batch
-// evaluations. Cancelling the context stops dispatching further work, waits
-// for the in-flight calls, and returns ctx.Err() with a nil slice.
-func ParallelMap[T, R any](ctx context.Context, workers int, in []T, f func(T) R) ([]R, error) {
+// FanOut is the one bounded worker pool, shared by the batch engines
+// (ulba.Sweep, ulba.RuntimeSweep) and the Fig. 2-3 drivers. It dispatches
+// indices 0..n-1 in input order over workers goroutines (<= 0 selects
+// GOMAXPROCS), streams one result per dispatched index, and closes the
+// channel when every worker is done; a cancelled ctx stops the dispatch.
+// newWorker runs once per worker goroutine to build its eval function,
+// giving each worker private scratch state (e.g. a schedule.Evaluator).
+// guaranteed selects blocking sends (every dispatched result lands; the
+// consumer must drain until close) over best-effort sends racing ctx.Done.
+func FanOut[R any](ctx context.Context, n, workers int, guaranteed bool, newWorker func() func(i int) R) <-chan R {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(in) {
-		workers = len(in)
+	if workers > n {
+		workers = n
 	}
-	out := make([]R, len(in))
-	if workers <= 1 {
-		for i, v := range in {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = f(v)
-		}
-		return out, nil
+	if workers < 1 {
+		workers = 1
 	}
+	// A workers-sized buffer decouples completion from consumption without
+	// growing with the batch: memory stays O(workers) however many
+	// instances stream through.
+	out := make(chan R, workers)
+	idx := make(chan int)
 	var wg sync.WaitGroup
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out[i] = f(in[i])
+			eval := newWorker()
+			for i := range idx {
+				r := eval(i)
+				if guaranteed {
+					// The consumer drains until close, so this always
+					// lands; a select against ctx.Done here could drop
+					// the result when both cases are ready at once.
+					out <- r
+					continue
+				}
+				select {
+				case out <- r:
+				case <-ctx.Done():
+					return
+				}
 			}
 		}()
 	}
-	var err error
-dispatch:
-	for i := range in {
-		// Check Err before the send: a select with both cases ready picks
-		// randomly, so without this a cancelled (even pre-cancelled)
-		// context could keep dispatching work.
-		if err = ctx.Err(); err != nil {
-			break dispatch
+	go func() {
+		defer close(out)
+	dispatch:
+		for i := 0; i < n; i++ {
+			// The Err pre-check makes cancellation deterministic: once
+			// the context reports done, no further instance is
+			// dispatched, even if the select below could still win the
+			// race against a closed Done channel.
+			if ctx.Err() != nil {
+				break dispatch
+			}
+			select {
+			case idx <- i:
+			case <-ctx.Done():
+				break dispatch
+			}
 		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+		close(idx)
+		wg.Wait()
+	}()
+	return out
 }
 
-// parallelMap is the uncancellable variant used by the fixed-size Fig. 2-3
-// experiment drivers; interactive callers go through ulba.Sweep, which
-// adds streaming and cancellation on the same worker-pool pattern.
+// parallelMap applies f to every element of in over the FanOut pool and
+// returns the results in input order. Each slot is computed independently
+// and written to its own index, so the result is identical for every
+// worker count. It is the uncancellable form the fixed-size Fig. 2-3
+// drivers use.
 func parallelMap[T, R any](workers int, in []T, f func(T) R) []R {
-	out, _ := ParallelMap(context.Background(), workers, in, f)
+	out := make([]R, len(in))
+	for range FanOut(context.Background(), len(in), workers, true, func() func(int) struct{} {
+		return func(i int) struct{} { out[i] = f(in[i]); return struct{}{} }
+	}) {
+	}
 	return out
 }
 

@@ -187,52 +187,54 @@ func TestParallelMapOrderAndWorkers(t *testing.T) {
 	}
 }
 
-// A context cancelled before ParallelMap starts yields no work at all, on
-// both the sequential and the pooled path.
-func TestParallelMapCancelledBeforeStart(t *testing.T) {
+// A context cancelled before FanOut starts dispatches no work at all, in
+// both delivery modes and on one worker or several, and the stream closes.
+func TestFanOutCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	in := []int{1, 2, 3, 4}
-	for _, workers := range []int{1, 3} {
-		var calls atomic.Int64
-		out, err := ParallelMap(ctx, workers, in, func(x int) int { calls.Add(1); return x })
-		if err != context.Canceled {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if out != nil {
-			t.Errorf("workers=%d: cancelled map returned a slice: %v", workers, out)
-		}
-		if n := calls.Load(); n != 0 {
-			t.Errorf("workers=%d: %d calls ran under a pre-cancelled context", workers, n)
+	for _, guaranteed := range []bool{true, false} {
+		for _, workers := range []int{1, 3} {
+			var calls atomic.Int64
+			results := 0
+			for range FanOut(ctx, 4, workers, guaranteed, func() func(int) int {
+				return func(i int) int { calls.Add(1); return i }
+			}) {
+				results++
+			}
+			if n := calls.Load(); n != 0 || results != 0 {
+				t.Errorf("guaranteed=%v workers=%d: %d calls, %d results under a pre-cancelled context",
+					guaranteed, workers, n, results)
+			}
 		}
 	}
 }
 
-// Cancelling mid-dispatch stops further work, waits for the in-flight
-// calls, and returns ctx.Err() with a nil slice.
-func TestParallelMapCancelledMidDispatch(t *testing.T) {
+// Cancelling mid-dispatch stops further work; with guaranteed delivery
+// every dispatched index still delivers its result before the stream
+// closes.
+func TestFanOutCancelledMidDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make([]int, 1000)
+	defer cancel()
+	const n = 1000
 	var started atomic.Int64
-	out, err := ParallelMap(ctx, 2, in, func(x int) int {
-		if started.Add(1) == 3 {
-			cancel()
+	results := 0
+	for range FanOut(ctx, n, 2, true, func() func(int) int {
+		return func(i int) int {
+			if started.Add(1) == 3 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond)
+			return i
 		}
-		time.Sleep(time.Millisecond)
-		return x
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Fatal("cancelled map returned a non-nil slice")
+	}) {
+		results++
 	}
 	// The dispatch loop stops at the cancellation point: with 2 workers at
-	// most a handful of calls can already be in flight or queued, nowhere
-	// near the full input. By the time ParallelMap returned it had waited
-	// for all of them (started is stable).
-	if n := started.Load(); n >= int64(len(in)) {
-		t.Errorf("%d of %d calls ran despite mid-dispatch cancellation", n, len(in))
+	// most a handful of calls can already be in flight, nowhere near the
+	// full input. The stream closed only after all of them finished, so
+	// started is stable and equals the delivered results.
+	if s := started.Load(); s >= n || int64(results) != s {
+		t.Errorf("%d of %d calls ran and %d results arrived despite mid-dispatch cancellation", s, n, results)
 	}
 }
 

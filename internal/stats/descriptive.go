@@ -48,22 +48,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n)
 }
 
-// SampleVariance returns the Bessel-corrected variance (dividing by n-1).
-// It returns NaN for slices with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
@@ -79,20 +63,6 @@ func ZScore(x float64, xs []float64) float64 {
 		return 0
 	}
 	return (x - Mean(xs)) / sd
-}
-
-// ZScores returns the z-score of every element of xs within xs.
-func ZScores(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 || math.IsNaN(sd) {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / sd
-	}
-	return out
 }
 
 // Median returns the median of xs without modifying it.
@@ -132,19 +102,9 @@ func median3(a, b, c float64) float64 {
 	return b
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks (the same convention as numpy's
-// default). It returns NaN for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return percentileSorted(cp, p)
-}
-
+// percentileSorted returns the p-th percentile (0 <= p <= 100) of a
+// non-empty sorted slice by linear interpolation between closest ranks
+// (numpy's default convention).
 func percentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -164,24 +124,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MinMax returns the minimum and maximum of xs.
-// It returns (NaN, NaN) for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // FiveNum is a five-number summary plus the mean: the statistics needed to

@@ -1,19 +1,8 @@
 package stats
 
-import "math"
-
-// SplitMix64 advances the SplitMix64 generator state and returns the next
-// 64-bit output. It is the mixing core behind both the stream RNG and the
-// counter-based per-cell RNG of the erosion application.
-func SplitMix64(state uint64) uint64 {
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Mix64 hashes an arbitrary 64-bit value through the SplitMix64 finalizer.
+// It is the mixing core behind both the stream RNG and the counter-based
+// per-cell RNG of the erosion application.
 func Mix64(x uint64) uint64 {
 	z := x + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -50,11 +39,9 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
+	s := r.state
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(s)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -75,11 +62,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Choice returns a uniformly chosen element of xs. It panics on empty input.
-func (r *RNG) Choice(xs []int) int {
-	return xs[r.Intn(len(xs))]
-}
-
 // Perm returns a random permutation of 0..n-1 (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -91,19 +73,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// NormFloat64 returns a standard normal variate via the Box-Muller
-// transform. Used only by test helpers and the annealer's restarts.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
 }
 
 // Split derives an independent generator from this one. Deriving rather than

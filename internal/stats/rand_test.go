@@ -145,20 +145,6 @@ func TestSplitDerivesIndependentStream(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(2024)
-	var run Running
-	for i := 0; i < 50000; i++ {
-		run.Add(r.NormFloat64())
-	}
-	if math.Abs(run.Mean()) > 0.03 {
-		t.Errorf("normal mean = %v, want ~0", run.Mean())
-	}
-	if math.Abs(run.StdDev()-1) > 0.03 {
-		t.Errorf("normal stddev = %v, want ~1", run.StdDev())
-	}
-}
-
 // Property: HashUniform depends on every argument.
 func TestHashUniformArgSensitivityProperty(t *testing.T) {
 	f := func(a, b, c uint64) bool {

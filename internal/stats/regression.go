@@ -55,9 +55,6 @@ func SlopeOverIndex(ys []float64) float64 {
 	return sxy / sxx
 }
 
-// At evaluates the fitted line at x.
-func (f LinearFit) At(x float64) float64 { return f.Slope*x + f.Intercept }
-
 // Valid reports whether the fit contains finite coefficients.
 func (f LinearFit) Valid() bool {
 	return !math.IsNaN(f.Slope) && !math.IsInf(f.Slope, 0) &&

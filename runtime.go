@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ulba/internal/lb"
+	"ulba/internal/simulate"
 	"ulba/internal/stats"
 )
 
@@ -375,7 +376,7 @@ func (s *RuntimeSweep) Stream(ctx context.Context, exps []*RuntimeExperiment) <-
 // corrupt their results into context errors — which is what keeps Run's
 // lowest-index error reporting independent of the worker count.
 func (s *RuntimeSweep) stream(dispatchCtx, runCtx context.Context, exps []*RuntimeExperiment, guaranteed bool) <-chan RuntimeSweepResult {
-	return fanOut(dispatchCtx, len(exps), s.workers, guaranteed, func() func(int) RuntimeSweepResult {
+	return simulate.FanOut(dispatchCtx, len(exps), s.workers, guaranteed, func() func(int) RuntimeSweepResult {
 		return func(i int) RuntimeSweepResult {
 			if exps[i] == nil {
 				return RuntimeSweepResult{Index: i, Err: fmt.Errorf("ulba: runtime sweep scenario %d is nil", i)}

@@ -3,8 +3,6 @@ package ulba
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ulba/internal/schedule"
 	"ulba/internal/simulate"
@@ -135,7 +133,7 @@ func (s *Sweep) Stream(ctx context.Context, params []ModelParams) <-chan SweepRe
 // ctx.Done, trading that determinism for tolerance of consumers that stop
 // receiving after cancellation.
 func (s *Sweep) stream(ctx context.Context, params []ModelParams, guaranteed bool) <-chan SweepResult {
-	return fanOut(ctx, len(params), s.workers, guaranteed, func() func(int) SweepResult {
+	return simulate.FanOut(ctx, len(params), s.workers, guaranteed, func() func(int) SweepResult {
 		// One evaluator per worker. The fast-path methods are stateless
 		// today, but evaluator state (the SigmaPlus scratch buffer, any
 		// future memoization) must stay per-goroutine, so the plumbing
@@ -146,75 +144,6 @@ func (s *Sweep) stream(ctx context.Context, params []ModelParams, guaranteed boo
 			return SweepResult{Index: i, Comparison: c, Err: err}
 		}
 	})
-}
-
-// fanOut is the bounded worker pool shared by the batch engines (Sweep and
-// RuntimeSweep): it dispatches indices 0..n-1 in input order over workers
-// goroutines and streams one result per dispatched index. newWorker is
-// called once per worker goroutine to build its eval function, giving each
-// worker private scratch state (e.g. a schedule.Evaluator). guaranteed
-// selects the delivery contract documented on Sweep.stream: blocking sends
-// (every dispatched result lands, consumers must drain until close) versus
-// best-effort sends racing ctx.Done.
-func fanOut[R any](ctx context.Context, n, workers int, guaranteed bool, newWorker func() func(i int) R) <-chan R {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// A workers-sized buffer decouples completion from consumption without
-	// growing with the batch: memory stays O(workers) however many
-	// instances stream through.
-	out := make(chan R, workers)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eval := newWorker()
-			for i := range idx {
-				r := eval(i)
-				if guaranteed {
-					// The consumer drains until close, so this always
-					// lands; a select against ctx.Done here could drop
-					// the result when both cases are ready at once.
-					out <- r
-					continue
-				}
-				select {
-				case out <- r:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(out)
-	dispatch:
-		for i := 0; i < n; i++ {
-			// The Err pre-check makes cancellation deterministic: once
-			// the context reports done, no further instance is
-			// dispatched, even if the select below could still win the
-			// race against a closed Done channel.
-			if ctx.Err() != nil {
-				break dispatch
-			}
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}()
-	return out
 }
 
 // Run evaluates every instance and returns the input-ordered comparisons
