@@ -33,11 +33,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"ulba/internal/cluster"
 	"ulba/internal/jobs"
 	"ulba/internal/server"
 )
@@ -55,9 +53,6 @@ func main() {
 		maxQueuedJobs   = flag.Int("max-queued-jobs", 256, "admission control: max queued jobs before POST /v1/jobs sheds with 429 (cached submissions bypass); 0 leaves the queue unbounded")
 		retryAfter      = flag.Duration("retry-after", time.Second, "Retry-After hint sent with every 429, rounded up to whole seconds")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests and running jobs on SIGINT/SIGTERM")
-		peers           = flag.String("peers", "", "comma-separated base URLs of every cluster member including this one (e.g. http://10.0.0.1:8383,http://10.0.0.2:8383); empty serves standalone")
-		selfURL         = flag.String("self", "", "this node's base URL as peers reach it; required with -peers")
-		replication     = flag.Int("replication", 2, "how many replicas own each result key; clamped to the cluster size")
 	)
 	flag.Parse()
 
@@ -86,16 +81,6 @@ func main() {
 		}
 		cfg.Store = store
 	}
-	if *peers != "" {
-		if *selfURL == "" {
-			log.Fatalf("ulba-serve: -peers requires -self (this node's URL as peers reach it)")
-		}
-		cfg.Cluster = &cluster.Options{
-			Self:        *selfURL,
-			Peers:       strings.Split(*peers, ","),
-			Replication: *replication,
-		}
-	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatalf("ulba-serve: %v", err)
@@ -116,10 +101,6 @@ func main() {
 	if st := srv.Stats().Store; st != nil {
 		fmt.Printf("ulba-serve store %s: %d results (%d bytes) on disk, %d warm-loaded into the cache\n",
 			*storeDir, st.Entries, st.Bytes, st.Seeded)
-	}
-	if ns := srv.Stats().Node; ns != nil && ns.Cluster != nil {
-		fmt.Printf("ulba-serve cluster node %s: %d members, replication %d\n",
-			ns.ID, ns.Cluster.Size, ns.Cluster.Replication)
 	}
 
 	httpSrv := &http.Server{

@@ -14,6 +14,7 @@ import (
 	"ulba"
 	"ulba/internal/cli"
 	"ulba/internal/experiments"
+	"ulba/internal/lb"
 	"ulba/internal/simulate"
 )
 
@@ -87,6 +88,34 @@ func experimentsCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		ps, err := parseList("pes", *pes, strconv.Atoi)
 		if err != nil {
 			return err
+		}
+		// Settings a section would reject mid-run are configuration errors,
+		// checked before any section starts.
+		if *fig3 {
+			if _, err := ulba.NewSweep(ulba.WithAlphaGrid(*alphaGrid)); err != nil {
+				return usagef("-alphas: %v", err)
+			}
+		}
+		// Every erosion run of Figs. 4a (up to 3 rocks), 4b and 5 (1 rock).
+		for _, c := range []struct {
+			enabled  bool
+			flagName string
+			ps       []int
+			rocks    int
+			alpha    float64
+		}{
+			{*fig4a, "pes", ps, 3, *alpha},
+			{*fig4b, "fig4b-pes", []int{*fig4bPE}, 1, *alpha},
+			{*fig5, "pes", ps, 1, 0.5},
+		} {
+			if !c.enabled {
+				continue
+			}
+			for _, p := range c.ps {
+				if err := scale.LBConfig(p, c.rocks, 1, lb.ULBA, c.alpha).Normalized().Validate(); err != nil {
+					return usagef("-%s %d: %v", c.flagName, p, err)
+				}
+			}
 		}
 
 		// failed is the first error of a section: it stops the JSON stream

@@ -33,7 +33,7 @@ func TestExitCodes(t *testing.T) {
 		{"model -table1", 2},
 		{"model -bestalpha 5", 0},
 		{"model -planner bogus", 2},
-		{"model -P 0", 1},
+		{"model -P 0", 2},
 		{"experiments -table1 -table2", 0},
 		{"experiments", 2},
 		{"experiments -fig3 -planner bogus", 2},
@@ -41,7 +41,11 @@ func TestExitCodes(t *testing.T) {
 		{"experiments -runtime -workload bogus", 2},
 		{"experiments -fig4a -scale huge", 2},
 		{"experiments -fig4a -pes 8,x", 2},
-		{"experiments -fig3 -alphas 0 -instances 2", 1},
+		{"experiments -fig3 -alphas 0 -instances 2", 2},
+		{"experiments -fig4a -scale bench -pes 0", 2},
+		{"experiments -fig4a -scale bench -pes 16,2", 2},
+		{"experiments -fig5 -scale bench -pes 0", 2},
+		{"experiments -fig4b -scale bench -fig4b-pes 0", 2},
 		{tinyErosion, 0},
 		{tinyErosion + " -trigger bogus", 2},
 		{tinyErosion + " -method bogus", 2},
@@ -53,15 +57,31 @@ func TestExitCodes(t *testing.T) {
 		{"runtime -trigger bogus", 2},
 		{"runtime -planner bogus", 2},
 		{"runtime -workload trace -trace-file " + missing, 2},
+		{"runtime -workload linear -trace-file " + missing, 2},
 		{"runtime -sweep 3 -workers 1", 0},
 		{"assess -n 2 -criteria degradation,never", 0},
 		{"assess -list-criteria", 0},
 		{"assess -criteria bogus", 2},
 		{"assess -criteria ,", 2},
 	}
+	// Configuration errors found after flag parsing print one line: no
+	// usage text and no stack trace.
+	oneLine := map[string]bool{
+		"model -P 0": true,
+		"experiments -fig3 -alphas 0 -instances 2":        true,
+		"experiments -fig4a -scale bench -pes 0":          true,
+		"experiments -fig4a -scale bench -pes 16,2":       true,
+		"experiments -fig5 -scale bench -pes 0":           true,
+		"experiments -fig4b -scale bench -fig4b-pes 0":    true,
+		"runtime -workload linear -trace-file " + missing: true,
+	}
 	for _, c := range cases {
-		if got, _, stderr := runArgs(c.args); got != c.want {
+		got, _, stderr := runArgs(c.args)
+		if got != c.want {
 			t.Errorf("ulba %s: exit %d, want %d (stderr: %s)", c.args, got, c.want, stderr)
+		}
+		if oneLine[c.args] && strings.Count(stderr, "\n") != 1 {
+			t.Errorf("ulba %s: stderr is not one line: %q", c.args, stderr)
 		}
 	}
 }

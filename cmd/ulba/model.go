@@ -41,7 +41,7 @@ func modelCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		}
 		params.C = *costfrac * params.W0 / (float64(params.P) * params.Omega)
 		if err := params.Validate(); err != nil {
-			return fmt.Errorf("invalid parameters: %w", err)
+			return usagef("invalid parameters: %v", err)
 		}
 		planner, err := newPlanner(*plannerName, *period, *annealSteps, *seed)
 		if err != nil {

@@ -69,9 +69,12 @@ func runtimeCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			return runSweep(ctx, stdout, stderr, *sweepN, *seed, *workers, *jsonOut)
 		}
 
+		if *traceFile != "" && *workloadName != "trace" {
+			return usagef("-trace-file applies to -workload trace only, not %q", *workloadName)
+		}
 		var w ulba.Workload
 		var err error
-		if *workloadName == "trace" && *traceFile != "" {
+		if *traceFile != "" {
 			w, err = loadTrace(*traceFile)
 		} else {
 			w, err = cli.SeededWorkload(*workloadName, *seed).Workload()

@@ -78,9 +78,6 @@ func (m *Monitor) Reset() {
 	m.loads = m.loads[:0]
 }
 
-// Samples returns the number of samples currently in the window.
-func (m *Monitor) Samples() int { return len(m.iters) }
-
 // Detector classifies PEs as overloading from the WIR database.
 type Detector struct {
 	// ZThreshold is the z-score above which a PE is overloading.

@@ -21,8 +21,8 @@ func TestMonitorLinearWIR(t *testing.T) {
 	if !ok || math.Abs(wir-3.5) > 1e-9 {
 		t.Errorf("WIR = %v (ok=%v), want 3.5", wir, ok)
 	}
-	if m.Samples() != 8 {
-		t.Errorf("window holds %d samples, want 8 (capacity)", m.Samples())
+	if len(m.iters) != 8 {
+		t.Errorf("window holds %d samples, want 8 (capacity)", len(m.iters))
 	}
 }
 
@@ -45,12 +45,32 @@ func TestMonitorSlidingWindowTracksChange(t *testing.T) {
 	}
 }
 
+// A non-finite sample makes the fit invalid: the monitor reports no WIR
+// rather than an infinite one.
+func TestMonitorNonFiniteSampleHasNoWIR(t *testing.T) {
+	m := NewMonitor(4)
+	m.Record(0, 1)
+	m.Record(1, math.Inf(1))
+	if wir, ok := m.WIR(); ok {
+		t.Errorf("WIR = %v from a non-finite sample, want none", wir)
+	}
+}
+
+// Tiny worlds still need two known WIRs before the z-score means anything.
+func TestDetectorMinKnownFloor(t *testing.T) {
+	for _, size := range []int{1, 2} {
+		if got := NewDetector(size).MinKnown; got != 2 {
+			t.Errorf("NewDetector(%d).MinKnown = %d, want 2", size, got)
+		}
+	}
+}
+
 func TestMonitorReset(t *testing.T) {
 	m := NewMonitor(4)
 	m.Record(0, 1)
 	m.Record(1, 2)
 	m.Reset()
-	if m.Samples() != 0 {
+	if len(m.iters) != 0 {
 		t.Error("Reset did not clear samples")
 	}
 	if _, ok := m.WIR(); ok {
@@ -167,13 +187,13 @@ func TestOverheadSeconds(t *testing.T) {
 func TestControllerLifecycle(t *testing.T) {
 	const size = 16
 	ctrl := NewController(3, size, 8, NewDetector(size), FixedAlpha(0.4))
-	if ctrl.DB().Self() != 3 {
-		t.Error("controller DB mis-owned")
-	}
 	// Feed a fast-growing workload into rank 3 and slow entries into the
 	// database for everyone else.
 	for i := 0; i < 10; i++ {
 		ctrl.Record(i, 1000+50*float64(i))
+	}
+	if e, ok := ctrl.DB().Get(3); !ok || e.Value != ctrl.WIR() || ctrl.DB().KnownCount() != 1 {
+		t.Errorf("controller DB holds %+v (ok=%v), want only its own rank 3 WIR %v", e, ok, ctrl.WIR())
 	}
 	for r := 0; r < size; r++ {
 		if r != 3 {

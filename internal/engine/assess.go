@@ -2,7 +2,7 @@
 // registered planner/trigger criteria against the perfect-knowledge bound
 // over a shared scenario set. It exists to prove the generic core earns its
 // keep — the whole serving surface (sync HTTP, NDJSON streaming, caching,
-// async jobs with checkpoint/resume, cluster routing) comes from the
+// async jobs with checkpoint/resume) comes from the
 // registration below, with no assessment-specific code in any layer.
 
 package engine

@@ -103,7 +103,7 @@ func TestExperimentCostCeiling(t *testing.T) {
 // TestRuntimeDecodeStaysCheap pins that decoding a runtime body does no work
 // proportional to the scenario grid: the weight table (1024 items x 200
 // iterations = 1.6 MB here) is built on the first run, never at decode, so
-// a cache hit, a forwarded request and a job submission stay cheap.
+// a cache hit and a job submission stay cheap.
 func TestRuntimeDecodeStaysCheap(t *testing.T) {
 	const bound = 32 << 10
 	d, _ := ByType("runtime")

@@ -2,10 +2,10 @@
 // validate/run/summarize/stream/cache-key/checkpoint-resume — that every
 // compute engine of the service implements exactly once, and a registry the
 // serving layers (sync HTTP handlers, NDJSON streaming, async jobs with
-// checkpointed resume, cluster forward/replicate routing) program
-// against. Adding an engine means implementing Engine (or BatchEngine) for
-// a new request type and registering it; the HTTP surface, caching,
-// persistence, and cluster placement follow without engine-specific code.
+// checkpointed resume) program against. Adding an engine means
+// implementing Engine (or BatchEngine) for a new request type and
+// registering it; the HTTP surface, caching, and persistence follow
+// without engine-specific code.
 //
 // The typed contract is erased at registration into Descriptor/Instance/
 // Batch, the closure-shaped view the server consumes: a registry of
@@ -34,7 +34,7 @@ type Meta struct {
 // engine values — and Result is the response value whose JSON marshal (plus
 // a trailing newline) is the served body. Run must be a pure function of
 // the canonicalized request: the determinism contract is what lets one
-// content address stand for the result across caches, stores, replicas, and
+// content address stand for the result across caches, stores, and
 // restarts.
 type Engine[Req, Result any] interface {
 	Meta() Meta
@@ -101,8 +101,7 @@ type Descriptor struct {
 func (d *Descriptor) Decode(raw []byte) (*Instance, error) { return d.decode(raw) }
 
 // Instance is one decoded, validated request bound to its engine: the
-// type-erased view the HTTP handlers, job runners, and cluster hooks
-// consume.
+// type-erased view the HTTP handlers and job runners consume.
 type Instance struct {
 	desc   *Descriptor
 	canon  any
@@ -114,9 +113,6 @@ type Instance struct {
 
 // Type is the engine's job-submission type.
 func (in *Instance) Type() string { return in.desc.Type }
-
-// Endpoint is the engine's synchronous route.
-func (in *Instance) Endpoint() string { return in.desc.Endpoint }
 
 // Canonical returns the canonicalized request value the content address is
 // derived from.
@@ -358,8 +354,8 @@ func mapStream[S, U any](ctx context.Context, src <-chan S, conv func(S) UnitRes
 
 // DecodeStrict parses one JSON request object: unknown fields and trailing
 // data are errors, so typos surface as 400s instead of silently evaluating
-// a default. Shared by the sync endpoints, the nested request object of a
-// job submission, and the cluster protocol bodies.
+// a default. Shared by the sync endpoints and the nested request object of
+// a job submission.
 func DecodeStrict(rd io.Reader, into any) error {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()

@@ -296,11 +296,6 @@ func (d *Domain) Cell(x, y int) Cell {
 // ColWeight returns the fluid workload weight of owned column x.
 func (d *Domain) ColWeight(x int) float64 { return d.weights[x-d.lo] }
 
-// Weights returns a copy of the per-column weights of the owned range.
-func (d *Domain) Weights() []float64 {
-	return append([]float64(nil), d.weights...)
-}
-
 // Workload returns the total fluid weight of the owned range, in work units.
 func (d *Domain) Workload() float64 {
 	return stats.Sum(d.weights)

@@ -15,7 +15,7 @@ func BenchmarkDisseminationRound(b *testing.B) {
 			db := NewDB(p.Rank(), size)
 			db.Update(p.Rank(), float64(p.Rank()), 0)
 			for s := 0; s < rounds; s++ {
-				Step(p, db, s, 9)
+				StepScratch(p, db, s, 9, nil)
 			}
 			return nil
 		})
@@ -30,9 +30,12 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	for i := range entries {
 		entries[i] = Entry{Rank: i, Value: float64(i) * 1.5, Iter: i}
 	}
+	var frame []byte
+	var out []Entry
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = DecodeEntries(EncodeEntries(entries))
+		frame = AppendEntries(frame[:0], entries)
+		out = DecodeEntriesInto(out[:0], frame)
 	}
 }
 

@@ -14,18 +14,16 @@
 // measurement under the principle of persistence.
 //
 // The package is transport-agnostic: the database plus the partner schedule
-// (Partner, Rounds) are pure, and Step runs one dissemination exchange over
-// any Transport. The simulated MPI runtime's *mpisim.Proc satisfies
-// Transport directly, and internal/cluster reuses the same schedule and
-// merge semantics over HTTP for replica membership — one dissemination core,
-// two substrates.
+// (Partner, Rounds) are pure, and StepScratch runs one dissemination
+// exchange over any Transport. The simulated MPI runtime's *mpisim.Proc
+// satisfies Transport directly.
 //
 // Merging is a deterministic join: entries are totally ordered by
 // (Iter, Value), so folding any set of observations into a database yields
 // the same final state regardless of arrival order, grouping, or
 // duplication (the merge is commutative, associative, and idempotent). That
-// order-independence is what lets concurrent disseminators — simulated
-// ranks or HTTP replicas — converge on one agreed view.
+// order-independence is what lets concurrent disseminators converge on one
+// agreed view.
 package gossip
 
 import (
@@ -36,13 +34,13 @@ import (
 	"ulba/internal/stats"
 )
 
-// Entry is one rank's observation — the WIR of a simulated PE, or a cluster
-// node's load — stamped with the iteration (heartbeat sequence) at which it
-// was measured so merges can keep the freshest value.
+// Entry is one rank's observation — the WIR of a simulated PE — stamped
+// with the iteration at which it was measured so merges can keep the
+// freshest value.
 type Entry struct {
-	Rank  int     `json:"rank"`
-	Value float64 `json:"value"`
-	Iter  int     `json:"iter"`
+	Rank  int
+	Value float64
+	Iter  int
 }
 
 // supersedes reports whether e wins over old in the deterministic merge
@@ -56,10 +54,8 @@ func (e Entry) supersedes(old Entry) bool {
 }
 
 // DB is the per-rank database of the freshest known observation of every
-// rank. It is not safe for concurrent use; callers that share one across
-// goroutines (the cluster membership layer) serialize access themselves.
+// rank. It is not safe for concurrent use.
 type DB struct {
-	self    int
 	entries []Entry
 	known   []bool
 }
@@ -71,17 +67,10 @@ func NewDB(self, size int) *DB {
 		panic(fmt.Sprintf("gossip: self rank %d out of range for size %d", self, size))
 	}
 	return &DB{
-		self:    self,
 		entries: make([]Entry, size),
 		known:   make([]bool, size),
 	}
 }
-
-// Size returns the world size the database covers.
-func (db *DB) Size() int { return len(db.entries) }
-
-// Self returns the owning rank.
-func (db *DB) Self() int { return db.self }
 
 // Update records an observation for rank if it supersedes the stored one
 // under the deterministic merge order (fresher iteration wins; equal
@@ -101,8 +90,7 @@ func (db *DB) Update(rank int, value float64, iter int) {
 }
 
 // Merge folds a batch of entries into the database. Entries for ranks
-// outside the world are ignored (a cluster peer with a misconfigured peer
-// list must not crash everyone it gossips with).
+// outside the world are ignored rather than trusted.
 func (db *DB) Merge(entries []Entry) {
 	for _, e := range entries {
 		if e.Rank < 0 || e.Rank >= len(db.entries) {
@@ -159,27 +147,6 @@ func (db *DB) AppendSnapshot(dst []Entry) []Entry {
 	return dst
 }
 
-// Staleness returns the age (in iterations, relative to now) of the oldest
-// known entry, or math.Inf(1) if the database is empty.
-func (db *DB) Staleness(now int) float64 {
-	oldest := math.Inf(1)
-	any := false
-	worst := 0
-	for r, k := range db.known {
-		if !k {
-			continue
-		}
-		any = true
-		if age := now - db.entries[r].Iter; age > worst {
-			worst = age
-		}
-	}
-	if !any {
-		return oldest
-	}
-	return float64(worst)
-}
-
 // ZScoreOf returns the z-score of rank's value within the known value
 // distribution, and false if the rank is unknown. A PE whose z-score
 // exceeds the paper's threshold (3.0) is considered overloading.
@@ -193,13 +160,8 @@ func (db *DB) ZScoreOf(rank int) (float64, bool) {
 
 const entryBytes = 24 // rank int64 + value float64 + iter int64
 
-// EncodeEntries serializes entries for the wire.
-func EncodeEntries(entries []Entry) []byte {
-	return AppendEntries(make([]byte, 0, entryBytes*len(entries)), entries)
-}
-
 // AppendEntries appends the wire encoding of entries to dst and returns the
-// extended buffer — the allocation-free form of EncodeEntries.
+// extended buffer.
 func AppendEntries(dst []byte, entries []Entry) []byte {
 	for _, e := range entries {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(e.Rank)))
@@ -209,13 +171,8 @@ func AppendEntries(dst []byte, entries []Entry) []byte {
 	return dst
 }
 
-// DecodeEntries reverses EncodeEntries; it panics on corrupt payloads.
-func DecodeEntries(b []byte) []Entry {
-	return DecodeEntriesInto(make([]Entry, 0, len(b)/entryBytes), b)
-}
-
-// DecodeEntriesInto appends the decoded entries to dst and returns the
-// extended slice; it panics on corrupt payloads like DecodeEntries.
+// DecodeEntriesInto reverses AppendEntries: it appends the decoded entries
+// to dst and returns the extended slice. It panics on corrupt payloads.
 func DecodeEntriesInto(dst []Entry, b []byte) []Entry {
 	if len(b)%entryBytes != 0 {
 		panic("gossip: corrupt entry payload")
@@ -244,7 +201,8 @@ func Rounds(size int) int {
 // step: dst is who rank pushes to, src the mirror rank it receives from.
 // The offset doubles each step, wrapping after Rounds(size) steps, so any
 // Rounds(size) consecutive steps cover every distance. For size 1 both
-// partners are rank itself (a self-exchange; Step treats it as a no-op).
+// partners are rank itself (a self-exchange; StepScratch treats it as a
+// no-op).
 func Partner(rank, step, size int) (dst, src int) {
 	if size == 1 {
 		return rank, rank
@@ -258,8 +216,8 @@ func Partner(rank, step, size int) (dst, src int) {
 // Transport is one rank's view of a message-passing substrate: a paired
 // push-to-dst / receive-from-src exchange under a tag. *mpisim.Proc
 // satisfies it directly (the simulated runtime the paper's algorithm runs
-// on); other substrates — an HTTP cluster, a test harness — implement it
-// with whatever wire they have.
+// on); other substrates, such as a test harness, implement it with
+// whatever wire they have.
 type Transport interface {
 	// Rank is this participant's index in [0, Size).
 	Rank() int
@@ -294,18 +252,14 @@ type Scratch struct {
 	frame   []byte
 }
 
-// Step performs one dissemination step at the given step index over the
-// transport: push the whole database to the doubling-ring partner and merge
-// what the mirror partner pushed to us. All ranks must call Step with the
-// same step index and tag. A world of one rank is a no-op.
-func Step(t Transport, db *DB, step int, tag int) {
-	StepScratch(t, db, step, tag, nil)
-}
-
-// StepScratch is Step with caller-provided scratch buffers: a rank stepping
-// every iteration reuses its entry slice and wire frame instead of
-// allocating them per step, and over an OwnedTransport the exchange itself
-// is allocation-free too. A nil scratch falls back to Step's behavior.
+// StepScratch performs one dissemination step at the given step index over
+// the transport: push the whole database to the doubling-ring partner and
+// merge what the mirror partner pushed to us. All ranks must call it with
+// the same step index and tag. A world of one rank is a no-op. A rank
+// stepping every iteration passes the same Scratch each time, reusing its
+// entry slice and wire frame instead of allocating them per step; over an
+// OwnedTransport the exchange itself is allocation-free too. A nil scratch
+// allocates fresh buffers for this step.
 func StepScratch(t Transport, db *DB, step int, tag int, s *Scratch) {
 	size := t.Size()
 	if size == 1 {

@@ -399,14 +399,6 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// QueuedLen reports how many jobs are awaiting a worker — the load figure
-// the cluster layer gossips.
-func (m *Manager) QueuedLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
-}
-
 // pruneLocked drops finished jobs older than the retention window. Callers
 // hold m.mu.
 func (m *Manager) pruneLocked() {

@@ -257,8 +257,8 @@ func TestQueueLimit(t *testing.T) {
 		return nil
 	})
 	<-started // the single worker is now occupied; the queue is empty
-	if got := m.QueuedLen(); got != 0 {
-		t.Fatalf("QueuedLen = %d with the queue empty, want 0", got)
+	if got := m.Stats().Queued; got != 0 {
+		t.Fatalf("Stats().Queued = %d with the queue empty, want 0", got)
 	}
 
 	var ranMu sync.Mutex
@@ -290,13 +290,10 @@ func TestQueueLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitHot: %v", err)
 	}
+	// The shed submission never entered the queue: queued counts the two
+	// cold jobs and the hot one.
 	if st := m.Stats(); st.Shed != 1 || st.QueueLimit != 2 || st.Queued != 3 {
 		t.Fatalf("stats = %+v, want shed=1 limit=2 queued=3", st)
-	}
-	// QueuedLen (the load the cluster gossips) counts the same jobs: the
-	// shed submission never entered the queue.
-	if got := m.QueuedLen(); got != 3 {
-		t.Fatalf("QueuedLen = %d, want 3", got)
 	}
 
 	close(release)

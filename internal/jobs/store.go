@@ -254,17 +254,6 @@ func (c *Checkpoint) Append(line []byte) error {
 // Close closes the handle (the file itself stays until ClearCheckpoint).
 func (c *Checkpoint) Close() error { return c.f.Close() }
 
-// AppendCheckpoint is the one-shot convenience form of OpenCheckpoint +
-// Append + Close.
-func (s *Store) AppendCheckpoint(key string, line []byte) error {
-	c, err := s.OpenCheckpoint(key)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.Append(line)
-}
-
 // LoadCheckpoint returns the complete lines of key's checkpoint file, in
 // append order, dropping an unterminated (torn) final line. A missing file
 // is an empty checkpoint, not an error.

@@ -170,10 +170,17 @@ func TestCheckpointAppendLoadClear(t *testing.T) {
 		[]byte(`{"index":2,"comparison":{"Gain":0.5}}`),
 		[]byte(`{"index":0,"comparison":{"Gain":0.1}}`),
 	}
+	cp, err := s.OpenCheckpoint(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range want {
-		if err := s.AppendCheckpoint(key, l); err != nil {
+		if err := cp.Append(l); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
 	}
 	lines, err := s.LoadCheckpoint(key)
 	if err != nil {

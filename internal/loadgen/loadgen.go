@@ -1,7 +1,7 @@
 // Package loadgen is the closed-loop request generator of the in-process soak
 // suite: a bounded client pool fires a fixed number of mixed engine
 // requests (drawn from the live workload/planner registries) back to back
-// at one or more ulba-serve targets, and reports per-endpoint status
+// at one ulba-serve target, and reports per-endpoint status
 // counts and byte-identity violations. ScrapeEndpointCounts and
 // VerifyServerCounts then balance those counts against the server's
 // /metrics histograms.
@@ -46,8 +46,8 @@ type MixEntry struct {
 
 // Config parameterizes one run.
 type Config struct {
-	// Targets are the base URLs requests round-robin over.
-	Targets []string
+	// Target is the base URL of the server under load.
+	Target string
 	// Client issues the requests; nil builds a pooled transport sized to
 	// Clients connections.
 	Client *http.Client
@@ -168,8 +168,8 @@ type Report struct {
 // Run sends cfg.MaxRequests requests through cfg.Clients closed-loop
 // clients and reports what happened.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("loadgen: no targets")
+	if cfg.Target == "" {
+		return nil, fmt.Errorf("loadgen: no target")
 	}
 	if cfg.MaxRequests <= 0 || cfg.Clients <= 0 {
 		return nil, fmt.Errorf("loadgen: need positive request and client counts")
@@ -217,7 +217,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			defer wg.Done()
 			for idx := range shots {
 				st, variant := pickShot(idx, states, totalWeight)
-				st.issue(ctx, client, cfg.Targets[idx%len(cfg.Targets)], variant)
+				st.issue(ctx, client, cfg.Target, variant)
 			}
 		}()
 	}

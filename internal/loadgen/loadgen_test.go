@@ -91,7 +91,7 @@ func TestRunClosedAccounting(t *testing.T) {
 
 	const n = 120
 	rep, err := Run(context.Background(), Config{
-		Targets:     []string{ts.URL},
+		Target:      ts.URL,
 		Clients:     8,
 		MaxRequests: n,
 		Mix: []MixEntry{
@@ -132,7 +132,7 @@ func TestMismatchDetection(t *testing.T) {
 	defer ts.Close()
 
 	rep, err := Run(context.Background(), Config{
-		Targets:     []string{ts.URL},
+		Target:      ts.URL,
 		Clients:     1,
 		MaxRequests: 20,
 		Mix:         []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1, Size: 4}},
@@ -190,19 +190,19 @@ func TestVerifyServerCounts(t *testing.T) {
 // TestRunValidation rejects the configurations that cannot measure.
 func TestRunValidation(t *testing.T) {
 	mix := []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1, Size: 1}}
-	target := []string{"http://x"}
+	target := "http://x"
 	cases := []Config{
 		{MaxRequests: 1, Clients: 1, Mix: mix},
-		{Targets: target, Clients: 1, Mix: mix},
-		{Targets: target, MaxRequests: 1, Mix: mix},
-		{Targets: target, MaxRequests: 1, Clients: 1},
-		{Targets: target, MaxRequests: 1, Clients: 1,
+		{Target: target, Clients: 1, Mix: mix},
+		{Target: target, MaxRequests: 1, Mix: mix},
+		{Target: target, MaxRequests: 1, Clients: 1},
+		{Target: target, MaxRequests: 1, Clients: 1,
 			Mix: []MixEntry{{Endpoint: "sweep", Weight: 0, Distinct: 1, Size: 1}}},
-		{Targets: target, MaxRequests: 1, Clients: 1,
+		{Target: target, MaxRequests: 1, Clients: 1,
 			Mix: []MixEntry{{Endpoint: "sweep", Weight: 1, Size: 1}}},
-		{Targets: target, MaxRequests: 1, Clients: 1,
+		{Target: target, MaxRequests: 1, Clients: 1,
 			Mix: []MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 1}}},
-		{Targets: target, MaxRequests: 1, Clients: 1,
+		{Target: target, MaxRequests: 1, Clients: 1,
 			Mix: []MixEntry{{Endpoint: "nope", Weight: 1, Distinct: 1, Size: 1}}},
 	}
 	for i, cfg := range cases {

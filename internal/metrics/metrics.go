@@ -146,14 +146,6 @@ func (f *Family) Observe(status int, d time.Duration) {
 // Count returns the total observations across all status codes.
 func (f *Family) Count() uint64 { return f.latency.Count() }
 
-// StatusCount returns the observations recorded with the given code.
-func (f *Family) StatusCount(code int) uint64 {
-	if code < 0 || code >= maxStatus {
-		code = 0
-	}
-	return f.statuses[code].Load()
-}
-
 // StatusCounts returns the non-zero status-code counters, keyed by code.
 func (f *Family) StatusCounts() map[int]uint64 {
 	out := map[int]uint64{}

@@ -118,10 +118,10 @@ func TestFamilyCountsAgree(t *testing.T) {
 	if sum != f.Count() || f.Count() != 8000 {
 		t.Fatalf("status sum %d, histogram count %d, want 8000", sum, f.Count())
 	}
-	if f.StatusCount(429) == 0 || f.StatusCount(200) == 0 {
-		t.Fatalf("expected both 200 and 429 counts, got %v", f.StatusCounts())
+	if codes := f.StatusCounts(); codes[429] == 0 || codes[200] == 0 {
+		t.Fatalf("expected both 200 and 429 counts, got %v", codes)
 	}
-	if f.Observe(1234, time.Millisecond); f.StatusCount(0) != 1 {
+	if f.Observe(1234, time.Millisecond); f.StatusCounts()[0] != 1 {
 		t.Errorf("out-of-range status not folded into code 0")
 	}
 }

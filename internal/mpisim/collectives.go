@@ -36,15 +36,6 @@ func OpMax(dst, src []float64) {
 	}
 }
 
-// OpMin keeps the element-wise minimum in dst.
-func OpMin(dst, src []float64) {
-	for i := range dst {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 // Barrier synchronizes all ranks with a dissemination barrier
 // (ceil(log2 P) rounds). After it returns, every rank's clock is at least
 // the pre-barrier clock of every other rank: nobody proceeds until the
@@ -140,22 +131,8 @@ func (p *Proc) Allgather(data []byte) [][]byte {
 	return unpackByteSlices(packed)
 }
 
-// Reduce combines the vals of all ranks with op at root using a binomial
-// tree. Non-roots return nil; all callers must pass equal-length slices.
-func (p *Proc) Reduce(root int, vals []float64, op ReduceOp) []float64 {
-	size := p.world.size
-	if root < 0 || root >= size {
-		panic(fmt.Sprintf("mpisim: Reduce with invalid root %d", root))
-	}
-	acc := append([]float64(nil), vals...)
-	if p.reduceInPlace(root, acc, op) {
-		return acc
-	}
-	return nil
-}
-
-// reduceInPlace is the engine behind Reduce and AllreduceInPlace: it
-// combines the ranks' vals into vals itself along the binomial tree, using
+// reduceInPlace is the engine behind AllreduceInPlace: it combines the
+// ranks' vals into vals itself along the binomial tree, using
 // pooled wire buffers and the rank's float scratch so the steady state
 // allocates nothing. It reports whether this rank is the root (and thus
 // holds the result).

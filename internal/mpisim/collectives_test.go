@@ -164,13 +164,12 @@ func TestReduceSumAndMax(t *testing.T) {
 			}
 			err := Run(size, testCost(), func(p *Proc) error {
 				v := float64(p.Rank()*p.Rank() + 1)
-				sum := p.Reduce(0, []float64{v}, OpSum)
-				if p.Rank() == 0 {
-					if !close2(sum[0], wantSum) {
-						return fmt.Errorf("sum = %v, want %v", sum[0], wantSum)
-					}
-				} else if sum != nil {
-					return fmt.Errorf("non-root received reduce result")
+				sum := []float64{v}
+				if isRoot := p.reduceInPlace(0, sum, OpSum); isRoot != (p.Rank() == 0) {
+					return fmt.Errorf("rank %d: reduce reports root = %v", p.Rank(), isRoot)
+				}
+				if p.Rank() == 0 && !close2(sum[0], wantSum) {
+					return fmt.Errorf("sum = %v, want %v", sum[0], wantSum)
 				}
 				got := p.AllreduceMax(v)
 				if got != wantMax {
@@ -188,13 +187,12 @@ func TestReduceSumAndMax(t *testing.T) {
 func TestReduceNonzeroRoot(t *testing.T) {
 	const size, root = 6, 4
 	err := Run(size, testCost(), func(p *Proc) error {
-		res := p.Reduce(root, []float64{1}, OpSum)
-		if p.Rank() == root {
-			if res[0] != float64(size) {
-				return fmt.Errorf("sum = %v, want %v", res[0], size)
-			}
-		} else if res != nil {
-			return fmt.Errorf("non-root %d received result", p.Rank())
+		res := []float64{1}
+		if isRoot := p.reduceInPlace(root, res, OpSum); isRoot != (p.Rank() == root) {
+			return fmt.Errorf("rank %d: reduce reports root = %v", p.Rank(), isRoot)
+		}
+		if p.Rank() == root && res[0] != float64(size) {
+			return fmt.Errorf("sum = %v, want %v", res[0], size)
 		}
 		return nil
 	})
@@ -221,10 +219,17 @@ func TestAllreduceVector(t *testing.T) {
 	}
 }
 
+// Allreduce takes any associative, commutative op, not only the built-in
+// sum and max.
 func TestAllreduceMinOp(t *testing.T) {
+	opMin := func(dst, src []float64) {
+		for i := range dst {
+			dst[i] = min(dst[i], src[i])
+		}
+	}
 	const size = 7
 	err := Run(size, testCost(), func(p *Proc) error {
-		got := p.Allreduce([]float64{float64(p.Rank() + 3)}, OpMin)[0]
+		got := p.Allreduce([]float64{float64(p.Rank() + 3)}, opMin)[0]
 		if got != 3 {
 			return fmt.Errorf("min = %v, want 3", got)
 		}

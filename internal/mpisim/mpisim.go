@@ -326,9 +326,6 @@ func (p *Proc) SetSpeed(speed float64) {
 	p.speed = speed
 }
 
-// Speed returns this rank's relative compute speed multiplier.
-func (p *Proc) Speed() float64 { return p.speed }
-
 // Compute advances the clock by flops/(FLOPS*speed) seconds of pure
 // computation. Negative amounts are a programming error.
 func (p *Proc) Compute(flops float64) {

@@ -49,17 +49,6 @@ func FromBools(flags []bool) Schedule {
 	return s
 }
 
-// Bools converts the schedule to one flag per iteration over [0, gamma).
-func (s Schedule) Bools(gamma int) []bool {
-	flags := make([]bool, gamma)
-	for _, it := range s {
-		if it > 0 && it < gamma {
-			flags[it] = true
-		}
-	}
-	return flags
-}
-
 // Normalize sorts and deduplicates an arbitrary iteration list into a valid
 // schedule for a gamma-iteration run.
 func Normalize(iters []int, gamma int) Schedule {
@@ -112,22 +101,6 @@ func TotalTimeStd(p model.Params, s Schedule) float64 {
 // this is identical to the standard method.
 func TotalTimeULBA(p model.Params, s Schedule) float64 {
 	return TotalTime(p, s, model.Params.ULBAIterTime)
-}
-
-// PerIterationTimes returns the individual iteration times (without LB
-// costs) under the given schedule, for traces and plots.
-func PerIterationTimes(p model.Params, s Schedule, iter IterTimeFunc) []float64 {
-	out := make([]float64, p.Gamma)
-	lbp := 0
-	k := 0
-	for i := 0; i < p.Gamma; i++ {
-		if k < len(s) && s[k] == i {
-			lbp = i
-			k++
-		}
-		out[i] = iter(p, lbp, i-lbp)
-	}
-	return out
 }
 
 // Periodic returns a schedule calling the balancer every k iterations

@@ -182,21 +182,12 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Has reports whether key is immediately servable from the LRU — a pure
 // peek: no fallback consultation, no counter movement, no recency update.
-// The cluster layer uses it to skip forwarding for locally cached keys.
+// The job submission path uses it to let cached submissions jump the queue.
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.entries[key]
 	return ok
-}
-
-// Admit inserts an externally computed body — a replica push from a cluster
-// peer. Eviction applies as for store; the outcome counters do not move
-// (the replica was never a request).
-func (c *Cache) Admit(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store(key, body)
 }
 
 // store inserts a computed body, evicting least-recently-used entries until

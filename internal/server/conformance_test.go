@@ -129,7 +129,8 @@ func TestConformanceCacheKey(t *testing.T) {
 			if key != roundKey {
 				t.Errorf("canonical round-trip key %s != request key %s", roundKey, key)
 			}
-			want, err := engine.Key(inst.Endpoint(), inst.Canonical())
+			d, _ := engine.ByType(typ)
+			want, err := engine.Key(d.Endpoint, inst.Canonical())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,7 +99,7 @@ type AdmissionStats struct {
 
 // handleMetrics renders the Prometheus text exposition page: per-endpoint
 // request counters and latency histograms, then the service-level cache,
-// job, store, admission, and cluster counters.
+// job, store, and admission counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b bytes.Buffer
 	s.metrics.WritePrometheus(&b, "ulba_http", "endpoint")
@@ -129,18 +129,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if st.Store != nil {
 		metrics.WriteGauge(&b, "ulba_store_entries", float64(st.Store.Entries))
 		metrics.WriteGauge(&b, "ulba_store_bytes", float64(st.Store.Bytes))
-	}
-
-	metrics.WriteCounter(&b, "ulba_cluster_forwarded_in_total", st.Node.ForwardedIn)
-	metrics.WriteCounter(&b, "ulba_cluster_replicas_received_total", st.Node.ReplicasReceived)
-	if cs := st.Node.Cluster; cs != nil {
-		metrics.WriteGauge(&b, "ulba_cluster_size", float64(cs.Size))
-		metrics.WriteGauge(&b, "ulba_cluster_live", float64(cs.Live))
-		metrics.WriteCounter(&b, "ulba_cluster_forwards_total", cs.Forwards)
-		metrics.WriteCounter(&b, "ulba_cluster_forward_failures_total", cs.ForwardFailures)
-		metrics.WriteCounter(&b, "ulba_cluster_forwards_shed_total", cs.ForwardsShed)
-		metrics.WriteCounter(&b, "ulba_cluster_replicas_sent_total", cs.ReplicasSent)
-		metrics.WriteCounter(&b, "ulba_cluster_replica_failures_total", cs.ReplicaFailures)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,9 +1,9 @@
 // Package server is the HTTP/JSON service layer over the registered engines
 // of internal/engine (experiment, sweep, runtime, runtime-sweep, assess —
 // all built on package ulba). The layer is engine-generic: one handler
-// serves every engine's sync endpoint, one job runner serves every engine's
-// async path, and the cluster hooks route by content address alone, so a
-// new engine costs a registration, not a subsystem. The determinism
+// serves every engine's sync endpoint and one job runner serves every
+// engine's async path, so a new engine costs a registration, not a
+// subsystem. The determinism
 // contract (every result is a pure function of its request) makes the
 // engines ideal behind a content-addressed result cache: the server
 // canonicalizes each request, hashes it, and serves repeated or concurrent
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"ulba"
-	"ulba/internal/cluster"
 	"ulba/internal/engine"
 	"ulba/internal/jobs"
 	"ulba/internal/metrics"
@@ -81,13 +80,6 @@ type Config struct {
 	// JobRetention is how long finished jobs stay listable; 0 selects the
 	// 1 h default, negative keeps them forever.
 	JobRetention time.Duration
-
-	// Cluster, when non-nil, joins this server to a multi-replica cluster
-	// (cmd/ulba-serve: -peers/-self/-replication): requests are forwarded
-	// to the owner replicas of their content address, and completed bodies
-	// are replicated across each key's replica set. Nil serves standalone;
-	// the /v1/cluster/* routes are registered either way.
-	Cluster *cluster.Options
 }
 
 // Server routes the service endpoints and owns the result cache, the
@@ -99,7 +91,6 @@ type Server struct {
 	cache   *Cache
 	store   *jobs.Store
 	manager *jobs.Manager
-	node    *cluster.Node // nil when standalone
 	sem     chan struct{}
 	mux     *http.ServeMux
 	routes  []string
@@ -114,13 +105,11 @@ type Server struct {
 	requests   atomic.Uint64
 	engineRuns atomic.Uint64
 	seeded     int
-
-	forwardedIn      atomic.Uint64
-	replicasReceived atomic.Uint64
 }
 
 // New builds a Server from cfg (see Config for the zero-value defaults).
-// The only construction failure is an invalid cluster configuration.
+// The error is always nil; the benchmark module and other callers are
+// written against this signature.
 func New(cfg Config) (*Server, error) {
 	budget := cfg.CacheBytes
 	switch {
@@ -187,14 +176,6 @@ func New(cfg Config) (*Server, error) {
 			return body, ok && err == nil
 		}
 	}
-	if cfg.Cluster != nil {
-		node, err := cluster.New(*cfg.Cluster, s.clusterHooks())
-		if err != nil {
-			s.manager.Close(context.Background())
-			return nil, err
-		}
-		s.node = node
-	}
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /v1/registries", s.handleRegistries)
 	s.route("GET /v1/stats", s.handleStats)
@@ -209,19 +190,13 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.route("GET /v1/jobs/{id}/stream", s.handleJobStream)
 	s.route("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.route("GET /v1/cluster", s.handleClusterStatus)
-	s.route("POST /v1/cluster/gossip", s.handleClusterGossip)
-	s.route("POST /v1/cluster/replicate", s.handleClusterReplicate)
-	if s.node != nil {
-		s.node.Start()
-	}
 	return s, nil
 }
 
 // route registers a handler and records its pattern, so Routes stays the
 // single source of truth the documentation drift test pins against. Every
 // handler is wrapped with the endpoint's latency/status instrumentation,
-// labeled by the pattern itself — sync, jobs, and cluster routes alike.
+// labeled by the pattern itself — sync and jobs routes alike.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, s.instrument(s.metrics.Family(pattern), h))
 	s.routes = append(s.routes, pattern)
@@ -236,16 +211,11 @@ func (s *Server) Routes() []string {
 
 // Close shuts the asynchronous machinery down: no new jobs, queued jobs
 // cancelled, running jobs given until ctx expires before their contexts are
-// cancelled (their checkpoints persist either way), then the cluster node
-// stops, then the store is closed. The HTTP handler itself is stateless —
-// shut the http.Server down first, then Close.
+// cancelled (their checkpoints persist either way), then the store is
+// closed. The HTTP handler itself is stateless — shut the http.Server down
+// first, then Close.
 func (s *Server) Close(ctx context.Context) error {
 	err := s.manager.Close(ctx)
-	if s.node != nil {
-		// Only after the drain: a job finishing during it persists its body
-		// and starts replica pushes, which the node's Close waits out.
-		s.node.Close()
-	}
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
 			err = cerr
@@ -258,17 +228,6 @@ func (s *Server) Close(ctx context.Context) error {
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		// Every response names its serving node; a relayed response
-		// overwrites this with the owner's name in maybeForward.
-		w.Header().Set(cluster.HeaderNode, s.nodeID())
-		if s.node != nil {
-			if from := r.Header.Get(cluster.HeaderFrom); from != "" {
-				s.node.Observe(from)
-			}
-			if r.Header.Get(cluster.HeaderForwarded) != "" {
-				s.forwardedIn.Add(1)
-			}
-		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 		s.mux.ServeHTTP(w, r)
 	})
@@ -282,7 +241,6 @@ type Stats struct {
 	Cache      CacheStats     `json:"cache"`
 	Jobs       jobs.Stats     `json:"jobs"`
 	Store      *StoreStats    `json:"store,omitempty"`
-	Node       *NodeStats     `json:"node"`
 }
 
 // StoreStats describes the persistent result store, when one is configured.
@@ -316,7 +274,6 @@ func (s *Server) Stats() Stats {
 	if s.store != nil {
 		st.Store = &StoreStats{Entries: s.store.Len(), Bytes: s.store.Bytes(), Seeded: s.seeded}
 	}
-	st.Node = s.nodeStats()
 	return st
 }
 
@@ -355,28 +312,19 @@ func writeEngineError(w http.ResponseWriter, err error) {
 
 // decode strictly parses a request body: unknown fields and trailing data
 // are errors, so typos surface as 400s instead of silently evaluating a
-// default.
+// default. Engine request decoding applies the same rule.
 func decode(r *http.Request, into any) error {
-	return decodeStrict(r.Body, into)
+	return engine.DecodeStrict(r.Body, into)
 }
 
-// readBody slurps a request body (already bounded by MaxBytesReader) so the
-// engine handlers can both parse it and relay the identical bytes when the
-// request forwards to its owner replica.
+// readBody slurps a request body (already bounded by MaxBytesReader) for
+// the engine decoder.
 func readBody(r *http.Request) ([]byte, error) {
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	return raw, nil
-}
-
-// decodeStrict is decode over any reader — the same rules applied to the
-// nested request object of a job submission and the cluster protocol
-// bodies. Engine request decoding shares the rule through
-// engine.DecodeStrict.
-func decodeStrict(rd io.Reader, into any) error {
-	return engine.DecodeStrict(rd, into)
 }
 
 // render runs one rendering function under an engine slot and persists the
@@ -404,12 +352,6 @@ func (s *Server) render(ctx context.Context, key string, render func(ctx context
 // requirement — a failed write only costs a future recomputation — so
 // errors do not fail the request.
 func (s *Server) persist(key string, body []byte) {
-	if s.node != nil {
-		// Push the freshly computed body to the key's other owners. The
-		// push lands through admitReplica, which never re-replicates, so
-		// replication cannot cascade.
-		s.node.ReplicateAsync(key, body)
-	}
 	if s.store == nil {
 		return
 	}
@@ -479,18 +421,15 @@ func (s *Server) handleEngine(d *engine.Descriptor) http.HandlerFunc {
 			s.streamBatch(w, r, b)
 			return
 		}
-		s.serveCached(w, r, raw, inst)
+		s.serveCached(w, r, inst)
 	}
 }
 
 // serveCached answers one unary engine request through the cache: compute
 // runs at most once per content address across concurrent and repeated
 // requests, under an engine slot. The cached body is fully rendered, so
-// hits, joins, and store reads are byte-identical to fresh misses. In a
-// cluster, a request whose content address this node does not own is
-// relayed to an owner replica first (raw is the exact client body);
-// determinism makes the relayed bytes identical to a local computation.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, raw []byte, inst *engine.Instance) {
+// hits, joins, and store reads are byte-identical to fresh misses.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, inst *engine.Instance) {
 	key, err := inst.Key()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -503,9 +442,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, raw []byte,
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Ulba-Cache", string(Hit))
 		w.Write(body)
-		return
-	}
-	if s.maybeForward(w, r, inst.Endpoint(), key, raw) {
 		return
 	}
 	if !s.admit() {

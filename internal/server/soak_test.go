@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ulba/internal/cluster"
 	"ulba/internal/engine"
 	"ulba/internal/jobs"
 	"ulba/internal/loadgen"
@@ -71,7 +69,7 @@ func TestSoakStandalone(t *testing.T) {
 	srv, ts := newTestServer(t)
 	const n = 600
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets:     []string{ts.URL},
+		Target:      ts.URL,
 		Clients:     32,
 		MaxRequests: n,
 		Mix:         soakMix(),
@@ -133,7 +131,7 @@ func TestSoakOverloadShedsExactly(t *testing.T) {
 
 	const n = 400
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets:     []string{ts.URL},
+		Target:      ts.URL,
 		Clients:     16,
 		MaxRequests: n,
 		Mix:         []loadgen.MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 64, Size: 10}},
@@ -169,7 +167,7 @@ func TestSoakThousandClients(t *testing.T) {
 	}}
 	defer client.CloseIdleConnections()
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets:     []string{ts.URL},
+		Target:      ts.URL,
 		Client:      client,
 		Clients:     clients,
 		MaxRequests: n,
@@ -192,136 +190,33 @@ func TestSoakThousandClients(t *testing.T) {
 	}
 }
 
-// TestSoakCluster soaks a 3-node cluster through every replica at once and
-// then balances the cross-node books: the nodes' engine-endpoint histogram
-// counts must sum to the generator's completions plus the successful
-// forwards (a forwarded request lands in two histograms — the relay's and
-// the owner's).
-func TestSoakCluster(t *testing.T) {
-	nodes := newTestCluster(t, 3, 2, nil)
-	urls := make([]string, len(nodes))
-	for i, node := range nodes {
-		urls[i] = node.url
-	}
-	const n = 300
-	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets:     urls,
-		Clients:     24,
-		MaxRequests: n,
-		Mix: []loadgen.MixEntry{
-			{Endpoint: "sweep", Weight: 3, Distinct: 8, Size: 10},
-			{Endpoint: "runtime", Weight: 1, Distinct: 4, Size: 8},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed != n || rep.Mismatches != 0 {
-		t.Fatalf("accounting = %+v, want %d completed, 0 mismatches", rep, n)
-	}
-
-	var histTotal, forwards uint64
-	for i, node := range nodes {
-		for label, c := range scrapeCounts(t, node.url) {
-			if engineEndpoints[label] {
-				histTotal += c
-			}
-		}
-		st := node.srv.Stats()
-		if st.Node.Cluster == nil {
-			t.Fatalf("node %d has no cluster stats", i)
-		}
-		forwards += st.Node.Cluster.Forwards
-		if st.Node.Cluster.ForwardFailures != 0 {
-			t.Errorf("node %d had %d forward failures in a stable cluster", i, st.Node.Cluster.ForwardFailures)
-		}
-	}
-	if histTotal != n+forwards {
-		t.Fatalf("cluster histograms sum to %d, want %d completed + %d forwards = %d",
-			histTotal, n, forwards, n+forwards)
-	}
-}
-
-// TestSoakClusterChurn kills and restarts a replica while the other two
-// keep taking traffic: every response stays byte-identical (the survivors
-// absorb failed forwards by computing locally), the forward loop guard
-// holds on the restarted node, and the churn leaks no goroutines.
-func TestSoakClusterChurn(t *testing.T) {
-	// Reserve the three listeners first, so every node knows the full peer
-	// list, and keep node 2's address for the same-port restart.
-	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestSoakRestartLeaksNoGoroutines soaks a store-backed server, closes it,
+// builds a new one on the same store directory and soaks it again. Both
+// soaks are clean; the second is served entirely from the store the first
+// one filled; and after idle connections drain, the settled goroutine count
+// returns to its pre-restart baseline (the new server's job workers
+// replace the closed one's). The slack absorbs scheduler and net poller
+// stragglers; 32 job workers per server put a closed server's leftover
+// workers above it.
+func TestSoakRestartLeaksNoGoroutines(t *testing.T) {
+	dir := t.TempDir()
+	start := func() (*Server, *httptest.Server) {
+		store, err := jobs.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	mkConfig := func(i int) Config {
-		return Config{Cluster: &cluster.Options{
-			Self:           urls[i],
-			Peers:          urls,
-			Replication:    2,
-			GossipInterval: 20 * time.Millisecond,
-		}}
-	}
-	servers := make([]*Server, 3)
-	https := make([]*httptest.Server, 3)
-	start := func(i int, ln net.Listener) {
-		srv, err := New(mkConfig(i))
+		srv, err := New(Config{Store: store, JobWorkers: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := httptest.NewUnstartedServer(srv.Handler())
-		hs.Listener.Close()
-		hs.Listener = ln
-		hs.Start()
-		servers[i], https[i] = srv, hs
+		return srv, httptest.NewServer(srv.Handler())
 	}
-	for i := range lns {
-		start(i, lns[i])
-	}
-	t.Cleanup(func() {
-		for i := range servers {
-			https[i].Close()
-			servers[i].Close(context.Background())
-		}
-	})
-
-	// Warm the cluster up, then take the goroutine baseline the leak check
-	// compares against after the kill/restart cycle.
-	warm := postURL(t, urls[0], "/v1/sweep", `{"sample":{"seed":9,"n":10},"alpha_grid":11}`)
-	if warm.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status = %d", warm.StatusCode)
-	}
-
 	client := &http.Client{Transport: &http.Transport{MaxIdleConns: 16, MaxIdleConnsPerHost: 16}}
-	// Mesh the cluster before measuring the baseline: a short pre-soak
-	// makes every node open its pooled connections to every peer (gossip,
-	// forwards, replication), so the real soak below adds no steady-state
-	// connection goroutines the baseline has not already seen.
-	if _, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets: urls[:2], Client: client, Clients: 8, MaxRequests: 60,
-		Mix: []loadgen.MixEntry{{Endpoint: "sweep", Weight: 1, Distinct: 6, Size: 10}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	before := settledGoroutines()
 	const n = 400
-	done := make(chan struct{})
-	var rep *loadgen.Report
-	var runErr error
-	go func() {
-		defer close(done)
-		rep, runErr = loadgen.Run(context.Background(), loadgen.Config{
-			// Traffic goes to the two survivors only; node 2 participates
-			// through forwarding, dies, and comes back mid-run.
-			Targets:     urls[:2],
+	soak := func(url string) {
+		t.Helper()
+		rep, err := loadgen.Run(context.Background(), loadgen.Config{
+			Target:      url,
 			Client:      client,
 			Clients:     16,
 			MaxRequests: n,
@@ -330,79 +225,43 @@ func TestSoakClusterChurn(t *testing.T) {
 				{Endpoint: "runtime", Weight: 1, Distinct: 6, Size: 8},
 			},
 		})
-	}()
-
-	// Kill node 2 mid-run — listener closed, loops down, like a kill -9 —
-	// then restart it on the same address.
-	time.Sleep(150 * time.Millisecond)
-	addr := lns[2].Addr().String()
-	https[2].Close()
-	servers[2].Close(context.Background())
-	time.Sleep(100 * time.Millisecond)
-	var ln net.Listener
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebinding %s: %v", addr, err)
+		if err := rep.Verify(); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	start(2, ln)
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if err := rep.Verify(); err != nil {
-		t.Fatalf("soak through the churn was not clean: %v", err)
-	}
-	if rep.Completed != n || rep.Mismatches != 0 {
-		t.Fatalf("accounting = %+v, want %d completed, 0 mismatches", rep, n)
+		if rep.Completed != n || rep.Mismatches != 0 {
+			t.Fatalf("accounting = %+v, want %d completed, 0 mismatches", rep, n)
+		}
+		client.CloseIdleConnections()
 	}
 
-	// The forward loop guard must hold on the restarted node: a request
-	// already marked forwarded is served locally, never relayed again.
-	req, err := http.NewRequest(http.MethodPost, urls[2]+"/v1/experiment", strings.NewReader(`{"p":6,"alpha":0.2}`))
-	if err != nil {
+	srv, ts := start()
+	soak(ts.URL)
+	before := settledGoroutines()
+	ts.Close()
+	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.HeaderForwarded, "n-test")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("restarted node unreachable: %v", err)
-	}
-	resp.Body.Close()
-	if got, want := resp.Header.Get(cluster.HeaderNode), servers[2].nodeID(); got != want {
-		t.Errorf("restarted node served as %q, want itself (%q)", got, want)
+
+	srv, ts = start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close(context.Background())
+	})
+	soak(ts.URL)
+	if got := srv.Stats().EngineRuns; got != 0 {
+		t.Errorf("restarted server ran the engine %d times, want 0 (every body is in the store)", got)
 	}
 
-	// Byte identity across the churned cluster: every node (including the
-	// restarted one) serves the same bytes for the warmup request.
-	want := readAll(t, postURL(t, urls[0], "/v1/sweep", `{"sample":{"seed":9,"n":10},"alpha_grid":11}`))
-	for i := 1; i < 3; i++ {
-		got := readAll(t, postURL(t, urls[i], "/v1/sweep", `{"sample":{"seed":9,"n":10},"alpha_grid":11}`))
-		if string(got) != string(want) {
-			t.Errorf("node %d serves different bytes after the churn", i)
-		}
-	}
-
-	// No goroutine leak: after idle connections drain, the count returns
-	// to the pre-churn baseline (the restarted node's loops replace the
-	// dead node's). The slack absorbs scheduler and net poller stragglers.
-	client.CloseIdleConnections()
-	http.DefaultClient.CloseIdleConnections()
-	deadline = time.Now().Add(15 * time.Second)
+	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+25 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, want <= baseline %d + 25 — the churn leaked", runtime.NumGoroutine(), before)
+			t.Fatalf("goroutines = %d, want <= baseline %d + 25 — the restart leaked", runtime.NumGoroutine(), before)
 		}
 		runtime.Gosched()
 		time.Sleep(50 * time.Millisecond)
@@ -674,5 +533,14 @@ func TestJobsQueueShed(t *testing.T) {
 	}
 	if stats.Admission.Shed != 1 {
 		t.Errorf("admission shed = %d, want 1 (the queue shed is a 429 too)", stats.Admission.Shed)
+	}
+}
+
+// releaseOnce closes ch if it is still open.
+func releaseOnce(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+		close(ch)
 	}
 }

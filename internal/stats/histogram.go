@@ -53,12 +53,6 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total returns the number of observations recorded, including outliers.
-func (h *Histogram) Total() int { return h.total }
-
-// Outliers returns the number of observations below Lo and above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))

@@ -15,22 +15,23 @@ func TestHistogramBinning(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d (counts %v)", i, h.Counts[i], w, h.Counts)
 		}
 	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
+	if h.total != 6 {
+		t.Errorf("total = %d, want 6", h.total)
 	}
 }
 
+// Observations outside [Lo, Hi] land in no bin, count toward the total,
+// and are reported on Render's outlier line.
 func TestHistogramOutliers(t *testing.T) {
 	h := NewHistogram(0, 1, 4)
 	h.Add(-0.5)
 	h.Add(2)
 	h.Add(0.5)
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Errorf("outliers = (%d,%d), want (1,1)", under, over)
+	if h.under != 1 || h.over != 1 || h.total != 3 {
+		t.Errorf("under, over, total = %d, %d, %d, want 1, 1, 3", h.under, h.over, h.total)
 	}
-	if h.Total() != 3 {
-		t.Errorf("Total = %d, want 3", h.Total())
+	if out := h.Render(10); !strings.Contains(out, "(outliers: 1 below 0, 1 above 1)") {
+		t.Errorf("Render does not report the outliers:\n%s", out)
 	}
 }
 

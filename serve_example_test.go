@@ -14,8 +14,7 @@ import (
 	"ulba/internal/server"
 )
 
-// mustServer builds a standalone server for the examples; with no cluster
-// configured, construction cannot fail.
+// mustServer builds a server for the examples; construction cannot fail.
 func mustServer() *server.Server {
 	srv, err := server.New(server.Config{})
 	if err != nil {
