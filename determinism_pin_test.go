@@ -3,16 +3,20 @@ package ulba_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"ulba"
 	"ulba/internal/cli"
 	"ulba/internal/engine"
+	"ulba/internal/experiments"
+	"ulba/internal/lb"
 	"ulba/internal/schedule"
 	"ulba/internal/server"
 )
@@ -245,6 +249,142 @@ func TestDeterminismPinErosionCompare(t *testing.T) {
 			{c.body + " lb_calls", resp.Result.LBCount(), c.lb},
 			{c.body + " baseline_lb_calls", baseline, c.baseline},
 		})
+	}
+}
+
+// bitsSHA is the SHA-256 over the little-endian bits of vals: float64s,
+// ints, and length-prefixed slices of either.
+func bitsSHA(vals ...any) string {
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	for _, v := range vals {
+		switch v := v.(type) {
+		case int:
+			put(int64(v))
+		case []int:
+			put(int64(len(v)))
+			for _, x := range v {
+				put(int64(x))
+			}
+		case []float64:
+			put(int64(len(v)))
+			put(v)
+		default:
+			put(v)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// resultSHA pins every deterministic field of one erosion run.
+func resultSHA(r lb.Result) string {
+	return bitsSHA(r.TotalTime, r.IterTimes, r.Usage, r.LBIters, r.LBCosts,
+		r.LBOverloading, r.Eroded, r.FinalWorkload, r.FinalBounds)
+}
+
+// runLB runs one erosion configuration.
+func runLB(t *testing.T, cfg lb.Config) lb.Result {
+	t.Helper()
+	res, err := lb.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// The figure drivers at bench scale: Fig. 4a at P 16 and 32 with 1-3
+// strongly erodible rocks, Fig. 4b at P 16, Fig. 5 at P 16 over alphas
+// 0.1-0.5, and one run per ablation the benchmarks in bench_test.go make
+// (P 16, one rock, seed 1). Fig. 4a cells and Fig. 5 points pin every field
+// the drivers return; Fig. 4b and the ablations pin whole runs. ULBA must
+// underload somewhere, or the pins would not cover Algorithm 2.
+func TestDeterminismPinFigures(t *testing.T) {
+	s := experiments.BenchScale()
+	var pins []pin
+	add := func(name, got, want string) { pins = append(pins, pin{name, got, want}) }
+
+	fig4a := []string{
+		"753183a02d4b65d53bb76d8972552a4cc63bd0f3a9c207b8bdfe7e6ac686ee02", // rocks 1, P 16
+		"7991c3064e5d84d3c6da69f996dc2e4b26a5fa902412a60157696a08cb283fd1", // rocks 1, P 32
+		"1ea90545451032efd8bd6f43416e5dd788219a93a29465fb1e0949b5952a08d4", // rocks 2, P 16
+		"589e220b6d65370fb01451dcdc4321323045c13b7c1b4be61a91fe200b449dee", // rocks 2, P 32
+		"694ea6b641bbe6ac36e7d8822a9d1632e68c95da86800ed08eddf09eaa339d81", // rocks 3, P 16
+		"36ad2f3e3ce3f328a5f5ca3bc2a73ffe1c297698170509ac64ea363098643c86", // rocks 3, P 32
+	}
+	cells := experiments.RunFig4a(s, []int{16, 32}, []int{1, 2, 3}, 0.4)
+	if len(cells) != len(fig4a) {
+		t.Fatalf("Fig. 4a has %d cells, want %d", len(cells), len(fig4a))
+	}
+	for i, c := range cells {
+		add(fmt.Sprintf("fig4a rocks=%d P=%d", c.Rocks, c.P),
+			bitsSHA(c.P, c.Rocks, c.StdTime, c.ULBATime, c.StdCalls, c.ULBACall, c.StdUsage, c.ULBAUse, c.Gain), fig4a[i])
+	}
+
+	f4b := experiments.RunFig4b(s, 16, 0.4)
+	add("fig4b standard", resultSHA(f4b.Std), "41f4d73192576632aeb3602a1b2c4235c53a5b22f097b069c9ea6cb7d61efd55")
+	add("fig4b ulba", resultSHA(f4b.ULBA), "a0595fa4882b1028b9985e8452ff2efc915727abb3d9c93a7a26df13743a5faa")
+
+	fig5 := []string{
+		"ba0be769a818142329ef1657ae6a8bb73c2ec79b3975e04d70293dbd57b338aa", // alpha 0.1
+		"d6b31456d1159a5d169132de69940556429a2871153676241cb7f66f3022b240", // alpha 0.2
+		"856e7e02d0724ee5b25bcac2c73905d60803052a8ef14bf674369eaf8ecb73d5", // alpha 0.3
+		"6aed6a7edeb734ef24a3443dba26771362c39c299c4dd66fd3fbe3299d1697e5", // alpha 0.4
+		"bf2f3704757f4d5b75f26b544ec6fabf735787d530649d95eeb57ffd5347e5b9", // alpha 0.5
+	}
+	points := experiments.RunFig5(s, []int{16}, []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+	if len(points) != len(fig5) {
+		t.Fatalf("Fig. 5 has %d points, want %d", len(points), len(fig5))
+	}
+	for i, pt := range points {
+		add(fmt.Sprintf("fig5 alpha=%.1f", pt.Alpha),
+			bitsSHA(pt.P, pt.Alpha, pt.Time, pt.Calls, pt.Usage), fig5[i])
+	}
+
+	ablations := []struct {
+		name   string
+		method lb.Method
+		mut    func(*lb.Config)
+		sha    string
+	}{
+		{"menon-tau", lb.Standard, func(c *lb.Config) {
+			c.TriggerFactory = func() lb.Trigger { return lb.NewMenonTau() }
+		}, "17b85afe30deeda799230f2aba275f4008dd53b68648cb1182ef242b157d48a3"},
+		{"periodic-10", lb.Standard, func(c *lb.Config) {
+			c.TriggerFactory = func() lb.Trigger { return &lb.Periodic{K: 10} }
+			c.WarmupLB = -1
+		}, "8b23898dce6c8ff2c4cff144c318f147f285d2f28f4e5f2b461ba1e4ed0c1c0f"},
+		{"never", lb.Standard, func(c *lb.Config) {
+			c.TriggerFactory = func() lb.Trigger { return lb.Never{} }
+			c.WarmupLB = -1
+		}, "8b2d0477c637161414587de5229c0d265db804e9a9db700704e552a0fc01b9e1"},
+		{"rcb", lb.Standard, func(c *lb.Config) { c.UseRCB = true },
+			"d236568705960408fcf4ef8a5db077921ea45b49fd887e7656796b33c4033641"},
+		{"without-overhead", lb.ULBA, func(c *lb.Config) { c.IncludeOverhead = false },
+			"a0595fa4882b1028b9985e8452ff2efc915727abb3d9c93a7a26df13743a5faa"},
+		{"adaptive-alpha", lb.ULBA, func(c *lb.Config) { c.AdaptiveAlpha = true },
+			"dc8dbfb57f2863ae007c9dd7aea209187c92fdfa5a26693cf7afd1010c97cadc"},
+		{"z=2", lb.ULBA, func(c *lb.Config) { c.ZThreshold = 2 },
+			"a0595fa4882b1028b9985e8452ff2efc915727abb3d9c93a7a26df13743a5faa"},
+		{"z=4", lb.ULBA, func(c *lb.Config) { c.ZThreshold = 4 },
+			"41f4d73192576632aeb3602a1b2c4235c53a5b22f097b069c9ea6cb7d61efd55"},
+		{"noise standard", lb.Standard, func(c *lb.Config) { c.OSNoise = 2e-4 },
+			"54de024997f4d766ea539a6c5da6cc3cfea8b8ecb67f5c7c787b77e412a1c2fc"},
+		{"noise ulba", lb.ULBA, func(c *lb.Config) { c.OSNoise = 2e-4 },
+			"7f61fb2a2c373688229776f2787d65296a73955c55a83d519084f4fb33001b08"},
+	}
+	for _, a := range ablations {
+		cfg := s.LBConfig(16, 1, 1, a.method, 0.4)
+		a.mut(&cfg)
+		add("ablation "+a.name, resultSHA(runLB(t, cfg)), a.sha)
+	}
+	checkPins(t, pins)
+
+	if !slices.ContainsFunc(f4b.ULBA.LBOverloading, func(n int) bool { return n > 0 }) {
+		t.Errorf("Fig. 4b's ULBA run never underloaded: LBOverloading %v", f4b.ULBA.LBOverloading)
 	}
 }
 
