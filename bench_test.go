@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ulba/internal/erosion"
 	"ulba/internal/experiments"
 	"ulba/internal/instance"
 	"ulba/internal/lb"
@@ -77,6 +78,20 @@ func BenchmarkFig3_GainVsOverloadingPct(b *testing.B) {
 	b.ReportMetric(buckets[0].MeanBestAlpha, "alpha@1%")
 }
 
+// runErosion runs cfg on its instance's erosion trace, built for this run.
+func runErosion(tb testing.TB, cfg lb.Config) lb.Result {
+	tb.Helper()
+	tr, err := erosion.NewTrace(cfg.App, cfg.Iterations)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := lb.Run(cfg, tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig4a_ErosionPerformance runs the erosion application once per
 // iteration for every cell of the Fig. 4a grid (method x PEs x strong
 // rocks) at bench scale. The LB call count is attached as a metric.
@@ -89,11 +104,7 @@ func BenchmarkFig4a_ErosionPerformance(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					var res lb.Result
 					for i := 0; i < b.N; i++ {
-						var err error
-						res, err = lb.Run(s.LBConfig(p, rocks, 1, method, 0.4))
-						if err != nil {
-							b.Fatal(err)
-						}
+						res = runErosion(b, s.LBConfig(p, rocks, 1, method, 0.4))
 					}
 					b.ReportMetric(float64(res.LBCount()), "LBcalls")
 					b.ReportMetric(res.MeanUsage()*100, "usage%")
@@ -124,11 +135,7 @@ func BenchmarkFig5_AlphaSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%.1f", alpha), func(b *testing.B) {
 			var res lb.Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = lb.Run(s.LBConfig(16, 1, 1, lb.ULBA, alpha))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, s.LBConfig(16, 1, 1, lb.ULBA, alpha))
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 			b.ReportMetric(float64(res.LBCount()), "LBcalls")
@@ -165,11 +172,7 @@ func BenchmarkAblation_Trigger(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, lb.Standard, 0)
 				tc.mut(&cfg)
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 			b.ReportMetric(float64(res.LBCount()), "LBcalls")
@@ -191,11 +194,7 @@ func BenchmarkAblation_Partitioner(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, lb.Standard, 0)
 				cfg.UseRCB = useRCB
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 		})
@@ -216,11 +215,7 @@ func BenchmarkAblation_OverheadTerm(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, lb.ULBA, 0.4)
 				cfg.IncludeOverhead = include
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 			b.ReportMetric(float64(res.LBCount()), "LBcalls")
@@ -242,11 +237,7 @@ func BenchmarkAblation_AdaptiveAlpha(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, lb.ULBA, 0.4)
 				cfg.AdaptiveAlpha = adaptive
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 		})
@@ -262,11 +253,7 @@ func BenchmarkAblation_ZThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, lb.ULBA, 0.4)
 				cfg.ZThreshold = z
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 			b.ReportMetric(float64(res.LBCount()), "LBcalls")
@@ -285,11 +272,7 @@ func BenchmarkAblation_OSNoise(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := s.LBConfig(16, 1, 1, method, 0.4)
 				cfg.OSNoise = 2e-4
-				var err error
-				res, err = lb.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runErosion(b, cfg)
 			}
 			b.ReportMetric(res.TotalTime*1e3, "virtual_ms")
 			b.ReportMetric(res.MeanUsage()*100, "usage%")

@@ -286,16 +286,6 @@ func resultSHA(r lb.Result) string {
 		r.LBOverloading, r.Eroded, r.FinalWorkload, r.FinalBounds)
 }
 
-// runLB runs one erosion configuration.
-func runLB(t *testing.T, cfg lb.Config) lb.Result {
-	t.Helper()
-	res, err := lb.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // The figure drivers at bench scale: Fig. 4a at P 16 and 32 with 1-3
 // strongly erodible rocks, Fig. 4b at P 16, Fig. 5 at P 16 over alphas
 // 0.1-0.5, and one run per ablation the benchmarks in bench_test.go make
@@ -379,7 +369,7 @@ func TestDeterminismPinFigures(t *testing.T) {
 	for _, a := range ablations {
 		cfg := s.LBConfig(16, 1, 1, a.method, 0.4)
 		a.mut(&cfg)
-		add("ablation "+a.name, resultSHA(runLB(t, cfg)), a.sha)
+		add("ablation "+a.name, resultSHA(runErosion(t, cfg)), a.sha)
 	}
 	checkPins(t, pins)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"ulba/internal/erosion"
 	"ulba/internal/lb"
 	"ulba/internal/schedule"
 )
@@ -133,26 +134,40 @@ func (e *Experiment) PlannedTotalTime() (float64, bool) { return e.predicted, e.
 
 // Run executes the experiment on the simulated cluster. Runs are
 // deterministic: the same Experiment always produces the same Result.
-// Cancelling the context abandons the run and returns ctx.Err(); the
-// simulated ranks finish in the background and are discarded.
+// Cancelling the context abandons the run, its physics included, and
+// returns ctx.Err(); the abandoned work finishes in the background and is
+// discarded.
 func (e *Experiment) Run(ctx context.Context) (RunResult, error) {
+	return await(ctx, func() (RunResult, error) {
+		tr, err := erosion.NewTrace(e.cfg.App, e.cfg.Iterations)
+		if err != nil {
+			return RunResult{}, err
+		}
+		return lb.Run(e.cfg, tr)
+	})
+}
+
+// await runs f in the background and returns its outcome, or ctx.Err() as
+// soon as ctx is cancelled; an abandoned f finishes and is discarded.
+func await[T any](ctx context.Context, f func() (T, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return RunResult{}, err
+		return zero, err
 	}
 	type outcome struct {
-		res RunResult
+		v   T
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := lb.Run(e.cfg)
-		done <- outcome{res, err}
+		v, err := f()
+		done <- outcome{v, err}
 	}()
 	select {
 	case <-ctx.Done():
-		return RunResult{}, ctx.Err()
+		return zero, ctx.Err()
 	case o := <-done:
-		return o.res, o.err
+		return o.v, o.err
 	}
 }
 
@@ -184,39 +199,40 @@ func (c MethodComparison) CallsAvoided() float64 {
 }
 
 // Compare runs the experiment and its standard-method baseline on the same
-// instance and returns both results. With WithWorkers(n >= 2) the two runs
-// execute concurrently; the outcome is identical either way.
+// instance and returns both results. The physics is computed once and
+// shared by both runs. With WithWorkers(n >= 2) the two runs execute
+// concurrently; the outcome is identical either way. Cancelling the context
+// abandons both runs and returns ctx.Err().
 func (e *Experiment) Compare(ctx context.Context) (MethodComparison, error) {
-	base := *e
-	base.cfg.Method = lb.Standard
-	base.cfg.AdaptiveAlpha = false
-
-	if e.workers == 1 {
-		baseRes, err := base.Run(ctx)
+	base := e.cfg
+	base.Method = lb.Standard
+	base.AdaptiveAlpha = false
+	return await(ctx, func() (MethodComparison, error) {
+		tr, err := erosion.NewTrace(e.cfg.App, e.cfg.Iterations)
 		if err != nil {
 			return MethodComparison{}, err
 		}
-		res, err := e.Run(ctx)
-		if err != nil {
-			return MethodComparison{}, err
+		var cmp MethodComparison
+		var baseErr, runErr error
+		if e.workers == 1 {
+			if cmp.Baseline, baseErr = lb.Run(base, tr); baseErr == nil {
+				cmp.Result, runErr = lb.Run(e.cfg, tr)
+			}
+		} else {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				cmp.Baseline, baseErr = lb.Run(base, tr)
+			}()
+			cmp.Result, runErr = lb.Run(e.cfg, tr)
+			<-done
 		}
-		return MethodComparison{Baseline: baseRes, Result: res}, nil
-	}
-
-	var cmp MethodComparison
-	var baseErr, runErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cmp.Baseline, baseErr = base.Run(ctx)
-	}()
-	cmp.Result, runErr = e.Run(ctx)
-	<-done
-	if baseErr != nil {
-		return MethodComparison{}, baseErr
-	}
-	if runErr != nil {
-		return MethodComparison{}, runErr
-	}
-	return cmp, nil
+		if baseErr != nil {
+			return MethodComparison{}, baseErr
+		}
+		if runErr != nil {
+			return MethodComparison{}, runErr
+		}
+		return cmp, nil
+	})
 }

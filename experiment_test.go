@@ -3,7 +3,9 @@ package ulba_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ulba"
 )
@@ -76,6 +78,9 @@ func TestExperimentEagerValidation(t *testing.T) {
 	}
 }
 
+// Run and Compare return ctx.Err() on a context cancelled before or during
+// the call. Mid-run, they return at once, without waiting for the physics,
+// which they build inside the part they abandon.
 func TestExperimentRunCancelled(t *testing.T) {
 	e, err := ulba.New(8, ulba.WithApp(smallApp(8)), ulba.WithIterations(40))
 	if err != nil {
@@ -85,6 +90,33 @@ func TestExperimentRunCancelled(t *testing.T) {
 	cancel()
 	if _, err := e.Run(ctx); err != context.Canceled {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+
+	// About half a second of work on two vCPUs, cancelled 5 ms in.
+	long, err := ulba.New(64, ulba.WithMethod(ulba.ULBA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for name, call := range map[string]func(context.Context) error{
+		"Run":     func(ctx context.Context) error { _, err := long.Run(ctx); return err },
+		"Compare": func(ctx context.Context) error { _, err := long.Compare(ctx); return err },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(5*time.Millisecond, cancel)
+		start := time.Now()
+		err := call(ctx)
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%s took %v to return after a cancel at 5ms", name, took)
+		}
+		if err != context.Canceled {
+			t.Errorf("%s cancelled mid-run returned %v, want context.Canceled", name, err)
+		}
+	}
+	// Let the abandoned work finish, so it cannot leak into later tests'
+	// timings or allocation counts.
+	for deadline := time.Now().Add(time.Minute); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -35,29 +35,14 @@ func BenchmarkNewDomain(b *testing.B) {
 	}
 }
 
-func BenchmarkRebuildMigration(b *testing.B) {
-	cfg := DefaultConfig(4)
-	d := NewDomain(cfg, 0, cfg.Width())
-	for i := 0; i < 20; i++ {
-		d.Step(i, nil, nil)
-	}
+// BenchmarkNewTrace builds the trace of one default-scale instance: the
+// physics every run of a figure cell shares.
+func BenchmarkNewTrace(b *testing.B) {
+	cfg := DefaultConfig(16)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chunk := d.CopyRange(10, 30)
-		shrunk := d.Rebuild(30, d.Hi(), nil)
-		_ = shrunk.Rebuild(10, d.Hi(), map[int][][]Cell{10: chunk})
-	}
-}
-
-func BenchmarkPackCells(b *testing.B) {
-	cfg := DefaultConfig(4)
-	d := NewDomain(cfg, 0, 64)
-	cols := d.CopyRange(0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := PackCells(cols)
-		_ = UnpackCells(buf, cfg.Height)
+		if _, err := NewTrace(cfg, 120); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,11 +17,22 @@
 // is therefore bit-identical no matter how the domain is partitioned or
 // which LB policy moves columns between PEs, which makes policy comparisons
 // noise-free and enables an exact distributed-versus-sequential test.
+//
+// It also means the physics need only be computed once per instance. A
+// Domain steps the cells of one column range, given its neighbours'
+// boundary columns as halos; NewTrace steps the whole mesh as one Domain
+// per stripe, in parallel, and records the result as a Trace: the initial
+// column weights and, per iteration, the columns where cells eroded. The
+// LB runner reads every run's column weights from the trace.
 package erosion
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ulba/internal/stats"
 )
@@ -194,18 +205,17 @@ func erodes(seed uint64, iter, x, y, k int, prob float64) bool {
 	return stats.HashUniform(seed, uint64(iter), uint64(x), uint64(y)) < 1-q
 }
 
-// Domain holds the contiguous column range [Lo, Hi) of one PE, with
-// incremental per-column workload weights and rock-cell indices so an
-// iteration costs O(rock cells) rather than O(all cells).
+// Domain holds the contiguous column range [lo, hi) of one block of the
+// mesh, with incremental per-column workload weights and rock-cell indices
+// so an iteration costs O(rock cells) rather than O(all cells).
 type Domain struct {
 	cfg      Config
-	strong   []bool
 	probs    []float64 // per-disc erosion probability
 	lo, hi   int
 	cols     [][]Cell
 	weights  []float64 // per local column: sum of fluid weights
 	rockRows [][]int32 // per local column: sorted rows of remaining rock cells
-	erode    []colRow  // Step scratch: cells to erode this iteration
+	erode    []colRow  // the cells the last Step eroded, in ascending column order
 }
 
 // colRow addresses one cell by local column index and row.
@@ -228,10 +238,10 @@ func NewDomain(cfg Config, lo, hi int) *Domain {
 	if lo < 0 || hi > cfg.Width() || lo > hi {
 		panic(fmt.Sprintf("erosion: column range [%d, %d) outside domain of width %d", lo, hi, cfg.Width()))
 	}
-	d := &Domain{cfg: cfg, strong: cfg.StrongSet(), lo: lo, hi: hi}
+	d := &Domain{cfg: cfg, lo: lo, hi: hi}
 	d.probs = make([]float64, cfg.P)
-	for s := range d.probs {
-		if d.strong[s] {
+	for s, strong := range cfg.StrongSet() {
+		if strong {
 			d.probs[s] = cfg.ProbStrong
 		} else {
 			d.probs[s] = cfg.ProbWeak
@@ -260,53 +270,6 @@ func NewDomain(cfg Config, lo, hi int) *Domain {
 	return d
 }
 
-// reindexColumn recomputes the weight and rock index of local column ci.
-func (d *Domain) reindexColumn(ci int) {
-	col := d.cols[ci]
-	w := 0.0
-	rocks := d.rockRows[ci][:0]
-	for y, cell := range col {
-		if cell == Rock {
-			rocks = append(rocks, int32(y))
-		} else {
-			w += cell.Weight()
-		}
-	}
-	d.weights[ci] = w
-	d.rockRows[ci] = rocks
-}
-
-// Config returns the instance configuration.
-func (d *Domain) Config() Config { return d.cfg }
-
-// Lo returns the first owned column.
-func (d *Domain) Lo() int { return d.lo }
-
-// Hi returns one past the last owned column.
-func (d *Domain) Hi() int { return d.hi }
-
-// NumCols returns the number of owned columns.
-func (d *Domain) NumCols() int { return d.hi - d.lo }
-
-// Cell returns the state of (x, y); x must be owned.
-func (d *Domain) Cell(x, y int) Cell {
-	return d.cols[x-d.lo][y]
-}
-
-// ColWeight returns the fluid workload weight of owned column x.
-func (d *Domain) ColWeight(x int) float64 { return d.weights[x-d.lo] }
-
-// Workload returns the total fluid weight of the owned range, in work units.
-func (d *Domain) Workload() float64 {
-	return stats.Sum(d.weights)
-}
-
-// Flop returns the computational cost of one iteration over the owned
-// range: FlopPerUnit per fluid weight unit.
-func (d *Domain) Flop() float64 {
-	return d.cfg.FlopPerUnit * d.Workload()
-}
-
 // RockCount returns the number of remaining rock cells in the owned range.
 func (d *Domain) RockCount() int {
 	n := 0
@@ -319,7 +282,7 @@ func (d *Domain) RockCount() int {
 // BoundaryColumn returns a copy of the first (left = true) or last owned
 // column, the payload of a halo exchange.
 func (d *Domain) BoundaryColumn(left bool) []Cell {
-	if d.NumCols() == 0 {
+	if len(d.cols) == 0 {
 		return nil
 	}
 	var src []Cell
@@ -329,40 +292,6 @@ func (d *Domain) BoundaryColumn(left bool) []Cell {
 		src = d.cols[len(d.cols)-1]
 	}
 	return append([]Cell(nil), src...)
-}
-
-// AppendBoundary appends the wire encoding of the first (left = true) or
-// last owned column to dst and returns the extended buffer — the halo send
-// path without the intermediate column copy of BoundaryColumn + PackHalo.
-func (d *Domain) AppendBoundary(dst []byte, left bool) []byte {
-	if d.NumCols() == 0 {
-		return dst
-	}
-	var src []Cell
-	if left {
-		src = d.cols[0]
-	} else {
-		src = d.cols[len(d.cols)-1]
-	}
-	for _, c := range src {
-		dst = append(dst, byte(c))
-	}
-	return dst
-}
-
-// AppendRange appends the wire encoding of owned columns [a, b) to dst and
-// returns the extended buffer — the migration send path without the deep
-// copy of CopyRange + PackCells.
-func (d *Domain) AppendRange(dst []byte, a, b int) []byte {
-	if a < d.lo || b > d.hi || a > b {
-		panic(fmt.Sprintf("erosion: AppendRange [%d,%d) outside owned [%d,%d)", a, b, d.lo, d.hi))
-	}
-	for x := a; x < b; x++ {
-		for _, c := range d.cols[x-d.lo] {
-			dst = append(dst, byte(c))
-		}
-	}
-	return dst
 }
 
 // Step advances the owned range by one erosion iteration. left and right
@@ -432,140 +361,115 @@ func (d *Domain) Step(iter int, left, right []Cell) int {
 		}
 		d.rockRows[e.ci] = rocks
 	}
-	d.erode = erodeList[:0]
+	d.erode = erodeList
 	return len(erodeList)
 }
 
-// CopyRange deep-copies columns [a, b), which must be owned.
-func (d *Domain) CopyRange(a, b int) [][]Cell {
-	if a < d.lo || b > d.hi || a > b {
-		panic(fmt.Sprintf("erosion: CopyRange [%d,%d) outside owned [%d,%d)", a, b, d.lo, d.hi))
-	}
-	out := make([][]Cell, b-a)
-	for i := range out {
-		out[i] = append([]Cell(nil), d.cols[a-d.lo+i]...)
-	}
-	return out
+// Trace is the physical evolution of one instance over a run, computed
+// once: the initial fluid weight of every column, then, per iteration, the
+// column of every rock cell that eroded. Each eroded cell adds Refined's
+// weight to its column. Because the randomness is counter-based, this
+// evolution is the same under every partition and every LB policy, so a
+// run reads its column weights from the trace instead of stepping cells.
+// A Trace takes O(width + eroded cells) memory and is safe for concurrent
+// readers.
+type Trace struct {
+	cfg     Config
+	initial []float64 // per column: fluid weight at iteration 0
+	eroded  []int32   // columns of the eroded cells, iteration by iteration, ascending within one
+	ends    []int     // ends[i]: end of iteration i's columns in eroded
 }
 
-// Rebuild constructs the post-migration domain for the new owned range
-// [newLo, newHi) from the current state plus received column chunks keyed
-// by their absolute starting column. Kept columns are reused; received
-// chunks must exactly tile the part of the new range the old range does not
-// cover.
-func (d *Domain) Rebuild(newLo, newHi int, received map[int][][]Cell) *Domain {
-	cols := make([][]Cell, newHi-newLo)
-	for x := newLo; x < newHi; x++ {
-		if x >= d.lo && x < d.hi {
-			cols[x-newLo] = d.cols[x-d.lo]
-		}
+// NewTrace computes the evolution of cfg over the given number of
+// iterations. Every iteration steps the mesh as one Domain per initial
+// stripe, each given its neighbours' boundary columns from before the step
+// as halos, on one goroutine per processor (GOMAXPROCS, at most cfg.P)
+// that claims stripes until none is left. Partition independence makes the
+// trace the same for every block count and every order of stepping.
+func NewTrace(cfg Config, iterations int) (*Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	for start, chunk := range received {
-		for i, col := range chunk {
-			x := start + i
-			if x < newLo || x >= newHi {
-				panic(fmt.Sprintf("erosion: received column %d outside new range [%d,%d)", x, newLo, newHi))
+	if iterations <= 0 {
+		return nil, fmt.Errorf("erosion: a trace needs a positive iteration count, got %d", iterations)
+	}
+	return buildTrace(cfg, iterations, cfg.P, min(runtime.GOMAXPROCS(0), cfg.P)), nil
+}
+
+// buildTrace steps the domain of a valid cfg as nb contiguous column blocks
+// (at most one per column) on the given number of goroutines. Blocks are
+// claimed one at a time, so a goroutine whose blocks erode little takes
+// over more of them instead of waiting for the others.
+func buildTrace(cfg Config, iterations, nb, workers int) *Trace {
+	width := cfg.Width()
+	nb = min(nb, width)
+	t := &Trace{cfg: cfg, initial: make([]float64, 0, width), ends: make([]int, iterations)}
+	blocks := make([]*Domain, nb)
+	for b := range blocks {
+		blocks[b] = NewDomain(cfg, b*width/nb, (b+1)*width/nb)
+		t.initial = append(t.initial, blocks[b].weights...)
+	}
+	lefts := make([][]Cell, nb)
+	rights := make([][]Cell, nb)
+	var wg sync.WaitGroup
+	for i := range iterations {
+		for b := 1; b < nb; b++ {
+			lefts[b] = blocks[b-1].BoundaryColumn(false)
+			rights[b-1] = blocks[b].BoundaryColumn(true)
+		}
+		var next atomic.Int64
+		step := func() {
+			for b := int(next.Add(1) - 1); b < nb; b = int(next.Add(1) - 1) {
+				blocks[b].Step(i, lefts[b], rights[b])
 			}
-			if cols[x-newLo] != nil {
-				panic(fmt.Sprintf("erosion: received column %d overlaps kept state", x))
+		}
+		for range workers - 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				step()
+			}()
+		}
+		step()
+		wg.Wait()
+		for _, d := range blocks {
+			for _, e := range d.erode {
+				t.eroded = append(t.eroded, int32(d.lo+e.ci))
 			}
-			cols[x-newLo] = col
 		}
+		t.ends[i] = len(t.eroded)
 	}
-	for i, col := range cols {
-		if col == nil {
-			panic(fmt.Sprintf("erosion: column %d missing after migration", newLo+i))
-		}
-	}
-	// Kept columns carry their weight and rock index over unchanged; only
-	// received columns are scanned. The disc tables are immutable after
-	// construction, so they are shared rather than recomputed.
-	nd := &Domain{
-		cfg:      d.cfg,
-		strong:   d.strong,
-		probs:    d.probs,
-		lo:       newLo,
-		hi:       newHi,
-		cols:     cols,
-		weights:  make([]float64, len(cols)),
-		rockRows: make([][]int32, len(cols)),
-	}
-	for ci := range cols {
-		x := newLo + ci
-		if x >= d.lo && x < d.hi {
-			nd.weights[ci] = d.weights[x-d.lo]
-			nd.rockRows[ci] = d.rockRows[x-d.lo]
-			continue
-		}
-		if len(cols[ci]) != d.cfg.Height {
-			panic(fmt.Sprintf("erosion: column %d has height %d, want %d", x, len(cols[ci]), d.cfg.Height))
-		}
-		nd.reindexColumn(ci)
-	}
-	return nd
+	return t
 }
 
-// PackCells serializes columns for the wire: Height bytes per column.
-func PackCells(cols [][]Cell) []byte {
-	if len(cols) == 0 {
-		return nil
+// Config returns the instance the trace evolves.
+func (t *Trace) Config() Config { return t.cfg }
+
+// Iterations returns the number of iterations the trace covers.
+func (t *Trace) Iterations() int { return len(t.ends) }
+
+// Weights returns a fresh copy of the initial weights of columns [lo, hi).
+func (t *Trace) Weights(lo, hi int) []float64 {
+	return append([]float64(nil), t.initial[lo:hi]...)
+}
+
+// Advance applies iteration iter to w, the weights of columns
+// [lo, lo+len(w)): every cell eroded there adds Refined's weight to its
+// column. It returns the number of those cells.
+func (t *Trace) Advance(iter, lo int, w []float64) int {
+	start := 0
+	if iter > 0 {
+		start = t.ends[iter-1]
 	}
-	h := len(cols[0])
-	b := make([]byte, 0, len(cols)*h)
-	for _, col := range cols {
-		if len(col) != h {
-			panic("erosion: ragged columns")
+	cols := t.eroded[start:t.ends[iter]]
+	first, _ := slices.BinarySearch(cols, int32(lo))
+	n := 0
+	for _, x := range cols[first:] {
+		if int(x)-lo >= len(w) {
+			break
 		}
-		for _, c := range col {
-			b = append(b, byte(c))
-		}
+		w[int(x)-lo] += Refined.Weight()
+		n++
 	}
-	return b
-}
-
-// UnpackCells reverses PackCells given the column height.
-func UnpackCells(b []byte, height int) [][]Cell {
-	if height <= 0 || len(b)%height != 0 {
-		panic(fmt.Sprintf("erosion: corrupt cell payload: %d bytes, height %d", len(b), height))
-	}
-	n := len(b) / height
-	out := make([][]Cell, n)
-	for i := 0; i < n; i++ {
-		col := make([]Cell, height)
-		for y := 0; y < height; y++ {
-			col[y] = Cell(b[i*height+y])
-		}
-		out[i] = col
-	}
-	return out
-}
-
-// PackHalo serializes one halo column (possibly nil).
-func PackHalo(col []Cell) []byte {
-	if col == nil {
-		return nil
-	}
-	b := make([]byte, len(col))
-	for i, c := range col {
-		b[i] = byte(c)
-	}
-	return b
-}
-
-// UnpackHalo reverses PackHalo; an empty payload decodes to nil.
-func UnpackHalo(b []byte) []Cell {
-	if len(b) == 0 {
-		return nil
-	}
-	return UnpackHaloInto(make([]Cell, 0, len(b)), b)
-}
-
-// UnpackHaloInto appends the decoded halo column to dst and returns the
-// extended slice; an empty payload yields dst unchanged (callers must treat
-// a zero-length result as the nil halo of a physical boundary).
-func UnpackHaloInto(dst []Cell, b []byte) []Cell {
-	for _, v := range b {
-		dst = append(dst, Cell(v))
-	}
-	return dst
+	return n
 }

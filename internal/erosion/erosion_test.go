@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"ulba/internal/stats"
 )
 
 func testConfig(p int) Config {
@@ -123,6 +125,32 @@ func TestDiscGeometry(t *testing.T) {
 	}
 }
 
+// Cell returns the state of (x, y); x must be owned.
+func (d *Domain) Cell(x, y int) Cell { return d.cols[x-d.lo][y] }
+
+// ColWeight returns the fluid workload weight of owned column x.
+func (d *Domain) ColWeight(x int) float64 { return d.weights[x-d.lo] }
+
+// Workload returns the total fluid weight of the owned range.
+func (d *Domain) Workload() float64 { return stats.Sum(d.weights) }
+
+// reindexColumn recomputes the weight and rock index of local column ci
+// from its cells.
+func (d *Domain) reindexColumn(ci int) {
+	col := d.cols[ci]
+	w := 0.0
+	rocks := d.rockRows[ci][:0]
+	for y, cell := range col {
+		if cell == Rock {
+			rocks = append(rocks, int32(y))
+		} else {
+			w += cell.Weight()
+		}
+	}
+	d.weights[ci] = w
+	d.rockRows[ci] = rocks
+}
+
 // cellByCell builds columns [lo, hi) the per-cell way: every cell from
 // InitialCell, then each column's weight and rock index from reindexColumn.
 // It is the reference the span build of NewDomain must reproduce.
@@ -199,9 +227,6 @@ func TestInitialWorkload(t *testing.T) {
 	rocks := d.RockCount()
 	if got := d.Workload(); got != float64(cells-rocks) {
 		t.Errorf("initial workload = %v, want fluid cells %d", got, cells-rocks)
-	}
-	if got := d.Flop(); got != d.Workload()*c.FlopPerUnit {
-		t.Errorf("Flop = %v", got)
 	}
 }
 
@@ -325,7 +350,7 @@ func TestPartitionIndependence(t *testing.T) {
 	}
 
 	for i, part := range parts {
-		for x := part.Lo(); x < part.Hi(); x++ {
+		for x := part.lo; x < part.hi; x++ {
 			for y := 0; y < c.Height; y++ {
 				if part.Cell(x, y) != ref.Cell(x, y) {
 					t.Fatalf("part %d diverged from reference at (%d,%d): %d vs %d",
@@ -336,122 +361,6 @@ func TestPartitionIndependence(t *testing.T) {
 				t.Fatalf("column %d weight diverged: %v vs %v", x, part.ColWeight(x), ref.ColWeight(x))
 			}
 		}
-	}
-}
-
-func TestCopyRangeAndRebuildRoundTrip(t *testing.T) {
-	c := testConfig(2)
-	d := NewDomain(c, 0, c.Width())
-	for i := 0; i < 10; i++ {
-		d.Step(i, nil, nil)
-	}
-	// Simulate migrating columns [10, 20) from this domain to another
-	// owner and back: rebuild with a narrower range, then restore.
-	chunk := d.CopyRange(10, 20)
-	shrunk := d.Rebuild(20, d.Hi(), nil) // keep only [20, hi)
-	if shrunk.Lo() != 20 || shrunk.Hi() != d.Hi() {
-		t.Fatalf("shrunk range [%d,%d)", shrunk.Lo(), shrunk.Hi())
-	}
-	restored := shrunk.Rebuild(10, d.Hi(), map[int][][]Cell{10: chunk})
-	for x := 10; x < d.Hi(); x++ {
-		for y := 0; y < c.Height; y++ {
-			if restored.Cell(x, y) != d.Cell(x, y) {
-				t.Fatalf("restored cell (%d,%d) differs", x, y)
-			}
-		}
-		if restored.ColWeight(x) != d.ColWeight(x) {
-			t.Fatalf("restored weight %d differs", x)
-		}
-	}
-	if restored.RockCount() != d.RockCount()-countRocks(chunkRows(d, 0, 10)) {
-		// restored dropped columns [0,10): rock accounting must match.
-		t.Fatalf("rock counts diverged after rebuild")
-	}
-}
-
-func chunkRows(d *Domain, a, b int) [][]Cell { return d.CopyRange(a, b) }
-
-func countRocks(cols [][]Cell) int {
-	n := 0
-	for _, col := range cols {
-		for _, c := range col {
-			if c == Rock {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func TestRebuildPanicsOnBadTiling(t *testing.T) {
-	c := testConfig(1)
-	d := NewDomain(c, 0, c.Width())
-	for name, f := range map[string]func(){
-		"missing": func() { d.Rebuild(0, c.Width()+0, map[int][][]Cell{}) }, // fine: full overlap, no panic
-		"overlap": func() {
-			d.Rebuild(0, c.Width(), map[int][][]Cell{0: d.CopyRange(0, 1)})
-		},
-	} {
-		if name == "missing" {
-			continue // covered below with a real gap
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-	// A real gap: new range extends beyond owned with no received chunk.
-	half := NewDomain(c, 0, c.Width()/2)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("gap should panic")
-			}
-		}()
-		half.Rebuild(0, c.Width(), nil)
-	}()
-}
-
-func TestPackUnpackCells(t *testing.T) {
-	c := testConfig(1)
-	d := NewDomain(c, 0, 5)
-	cols := d.CopyRange(0, 5)
-	rt := UnpackCells(PackCells(cols), c.Height)
-	if len(rt) != 5 {
-		t.Fatalf("round trip count = %d", len(rt))
-	}
-	for i := range cols {
-		for y := range cols[i] {
-			if rt[i][y] != cols[i][y] {
-				t.Fatalf("cell (%d,%d) corrupted", i, y)
-			}
-		}
-	}
-	if PackCells(nil) != nil {
-		t.Error("empty pack should be nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("corrupt payload should panic")
-		}
-	}()
-	UnpackCells(make([]byte, 7), 3)
-}
-
-func TestPackUnpackHalo(t *testing.T) {
-	col := []Cell{Rock, Fluid, Refined}
-	rt := UnpackHalo(PackHalo(col))
-	for i := range col {
-		if rt[i] != col[i] {
-			t.Fatal("halo round trip corrupted")
-		}
-	}
-	if UnpackHalo(nil) != nil || PackHalo(nil) != nil {
-		t.Error("nil halo should round trip to nil")
 	}
 }
 
@@ -535,115 +444,108 @@ func TestCertainErosionProperty(t *testing.T) {
 	}
 }
 
-// AppendBoundary must produce exactly the bytes of the copying halo send
-// path it replaces, appended to the caller's buffer.
-func TestAppendBoundaryMatchesPackHalo(t *testing.T) {
-	c := testConfig(2)
-	d := NewDomain(c, 0, c.Width())
-	for i := 0; i < 6; i++ {
-		d.Step(i, nil, nil)
+// stepParts steps the parts of a partitioned domain by one iteration, each
+// reading its neighbours' boundary columns from before the step, and
+// returns how many cells each part eroded.
+func stepParts(parts []*Domain, iter int) []int {
+	lefts := make([][]Cell, len(parts))
+	rights := make([][]Cell, len(parts))
+	for k := 1; k < len(parts); k++ {
+		lefts[k] = parts[k-1].BoundaryColumn(false)
+		rights[k-1] = parts[k].BoundaryColumn(true)
 	}
-	for _, left := range []bool{true, false} {
-		want := PackHalo(d.BoundaryColumn(left))
-		buf := make([]byte, 0, c.Height)
-		got := d.AppendBoundary(buf, left)
-		if string(got) != string(want) {
-			t.Fatalf("AppendBoundary(left=%v) diverged from PackHalo", left)
-		}
-		if &got[:1][0] != &buf[:1][0] {
-			t.Fatalf("AppendBoundary(left=%v) reallocated despite capacity", left)
-		}
+	eroded := make([]int, len(parts))
+	for k, part := range parts {
+		eroded[k] = part.Step(iter, lefts[k], rights[k])
 	}
-	empty := NewDomain(c, 3, 3)
-	if out := empty.AppendBoundary(nil, true); out != nil {
-		t.Fatalf("empty domain boundary = %v, want nil", out)
-	}
+	return eroded
 }
 
-// AppendRange must produce exactly the bytes of PackCells(CopyRange(a, b)),
-// and panic on out-of-range requests like CopyRange does.
-func TestAppendRangeMatchesPackCells(t *testing.T) {
-	c := testConfig(2)
-	d := NewDomain(c, 0, c.Width())
-	for i := 0; i < 6; i++ {
-		d.Step(i, nil, nil)
-	}
-	want := PackCells(d.CopyRange(10, 20))
-	got := d.AppendRange(nil, 10, 20)
-	if string(got) != string(want) {
-		t.Fatal("AppendRange diverged from PackCells(CopyRange)")
-	}
-	if out := d.AppendRange(nil, 5, 5); len(out) != 0 {
-		t.Fatalf("empty range encoded %d bytes", len(out))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendRange outside owned range should panic")
-		}
-	}()
-	d.AppendRange(nil, -1, 3)
-}
+// Property: a trace read part by part gives, at every iteration, each
+// column weight and each part's eroded count of the partitioned Domains
+// stepped with halos, over random geometries (both parities of StripeWidth
+// and Height), PE counts, iteration counts and cuts; and block counts 1-4,
+// stepped on one to three goroutines, build the same trace.
+func TestTraceMatchesPartitionedDomainsProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2019, 28))
+	for trial := range 150 {
+		cfg := testConfig(1 + rng.IntN(6))
+		cfg.StripeWidth = 2*(2+rng.IntN(12)) + trial%2
+		cfg.Height = 2*(2+rng.IntN(12)) + trial/2%2
+		cfg.Radius = 1 + rng.IntN((min(cfg.StripeWidth, cfg.Height)-1)/2)
+		cfg.StrongRocks = rng.IntN(cfg.P + 1)
+		cfg.ProbWeak = 0.3 * rng.Float64()
+		cfg.Seed = rng.Uint64()
+		iters := 1 + rng.IntN(40)
+		width := cfg.Width()
+		where := fmt.Sprintf("trial %d: P=%d W=%d H=%d r=%d iters=%d",
+			trial, cfg.P, cfg.StripeWidth, cfg.Height, cfg.Radius, iters)
 
-// UnpackHaloInto must decode the same cells as UnpackHalo while reusing the
-// caller's scratch.
-func TestUnpackHaloInto(t *testing.T) {
-	c := testConfig(1)
-	d := NewDomain(c, 0, c.Width())
-	wire := PackHalo(d.BoundaryColumn(true))
-	want := UnpackHalo(wire)
-	scratch := make([]Cell, 0, c.Height)
-	got := UnpackHaloInto(scratch, wire)
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cell %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if &got[:1][0] != &scratch[:1][0] {
-		t.Fatal("UnpackHaloInto reallocated despite capacity")
-	}
-	if out := UnpackHaloInto(nil, nil); len(out) != 0 {
-		t.Fatal("empty payload should decode to an empty halo")
-	}
-}
-
-// A domain's weight and rock bookkeeping must stay exact through a rebuild
-// that both keeps and receives columns, and the rebuilt domain must keep
-// stepping bit-identically to a domain that never migrated (the carry-over
-// of kept columns' indices is an optimization, not a semantic change).
-func TestRebuildCarriesIndicesExactly(t *testing.T) {
-	c := testConfig(2)
-	ref := NewDomain(c, 0, c.Width())
-	d := NewDomain(c, 0, c.Width())
-	for i := 0; i < 5; i++ {
-		ref.Step(i, nil, nil)
-		d.Step(i, nil, nil)
-	}
-	// Round-trip columns [0, 8) out and back, forcing a mixed rebuild.
-	chunk := d.CopyRange(0, 8)
-	d = d.Rebuild(8, d.Hi(), nil)
-	d = d.Rebuild(0, d.Hi(), map[int][][]Cell{0: chunk})
-	if d.RockCount() != ref.RockCount() || d.Workload() != ref.Workload() {
-		t.Fatalf("rebuild bookkeeping diverged: rocks %d vs %d, work %v vs %v",
-			d.RockCount(), ref.RockCount(), d.Workload(), ref.Workload())
-	}
-	for i := 5; i < 15; i++ {
-		er := ref.Step(i, nil, nil)
-		ed := d.Step(i, nil, nil)
-		if er != ed {
-			t.Fatalf("iteration %d: rebuilt domain eroded %d, reference %d", i, ed, er)
-		}
-	}
-	for x := 0; x < c.Width(); x++ {
-		if d.ColWeight(x) != ref.ColWeight(x) {
-			t.Fatalf("column %d weight diverged after rebuild", x)
-		}
-		for y := 0; y < c.Height; y++ {
-			if d.Cell(x, y) != ref.Cell(x, y) {
-				t.Fatalf("cell (%d,%d) diverged after rebuild", x, y)
+		tr := buildTrace(cfg, iters, 1, 1)
+		for nb := 2; nb <= 4; nb++ {
+			other := buildTrace(cfg, iters, nb, 1+nb%3)
+			if !slices.Equal(other.initial, tr.initial) || !slices.Equal(other.eroded, tr.eroded) ||
+				!slices.Equal(other.ends, tr.ends) {
+				t.Fatalf("%s: %d blocks build another trace than one block", where, nb)
 			}
 		}
+
+		cuts := []int{0, width}
+		for _, c := range rng.Perm(width - 1)[:rng.IntN(min(cfg.P+2, width))] {
+			cuts = append(cuts, c+1)
+		}
+		slices.Sort(cuts)
+		parts := make([]*Domain, len(cuts)-1)
+		weights := make([][]float64, len(parts))
+		for k := range parts {
+			parts[k] = NewDomain(cfg, cuts[k], cuts[k+1])
+			weights[k] = tr.Weights(cuts[k], cuts[k+1])
+		}
+		for i := range iters {
+			eroded := stepParts(parts, i)
+			for k, part := range parts {
+				if n := tr.Advance(i, cuts[k], weights[k]); n != eroded[k] {
+					t.Fatalf("%s: iteration %d, part [%d, %d): trace erodes %d cells, domain %d",
+						where, i, cuts[k], cuts[k+1], n, eroded[k])
+				}
+				if !slices.Equal(weights[k], part.weights) {
+					t.Fatalf("%s: iteration %d, part [%d, %d): trace weights %v, domain %v",
+						where, i, cuts[k], cuts[k+1], weights[k], part.weights)
+				}
+			}
+		}
+	}
+}
+
+func TestNewTrace(t *testing.T) {
+	c := testConfig(3)
+	tr, err := NewTrace(c, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Config() != c || tr.Iterations() != 12 {
+		t.Errorf("trace of %+v over %d iterations, want %+v over 12", tr.Config(), tr.Iterations(), c)
+	}
+	ref := NewDomain(c, 0, c.Width())
+	w := tr.Weights(0, c.Width())
+	for i := range 12 {
+		if n, want := tr.Advance(i, 0, w), ref.Step(i, nil, nil); n != want {
+			t.Fatalf("iteration %d: trace erodes %d cells, whole domain %d", i, n, want)
+		}
+	}
+	if !slices.Equal(w, ref.weights) {
+		t.Error("trace weights diverged from the whole domain's")
+	}
+	if w := tr.Weights(0, 2); &w[0] == &tr.initial[0] {
+		t.Error("Weights aliases the trace")
+	}
+
+	bad := c
+	bad.Radius = 0
+	if _, err := NewTrace(bad, 12); err == nil {
+		t.Error("trace of an invalid instance built")
+	}
+	if _, err := NewTrace(c, 0); err == nil {
+		t.Error("trace of zero iterations built")
 	}
 }

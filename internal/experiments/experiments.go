@@ -100,25 +100,37 @@ func (s Scale) LBConfig(p, rocks int, seed uint64, method lb.Method, alpha float
 	}
 }
 
-// medianRun executes the configuration for each seed and returns the run
-// with the median total time, plus all totals.
-func (s Scale) medianRun(p, rocks int, method lb.Method, alpha float64) (lb.Result, []float64) {
-	type run struct {
-		res   lb.Result
-		total float64
-	}
-	runs := make([]run, 0, s.Seeds)
-	totals := make([]float64, 0, s.Seeds)
-	for seed := 1; seed <= s.Seeds; seed++ {
-		res, err := lb.Run(s.LBConfig(p, rocks, uint64(seed), method, alpha))
+// variant is one method and alpha run on every seed of a figure cell.
+type variant struct {
+	method lb.Method
+	alpha  float64
+}
+
+// medianRuns runs every variant on each seed's instance of P PEs with the
+// given number of strongly erodible rocks, and returns per variant the run
+// with the median total time. Each instance's erosion trace is built once
+// and shared by all the variants run on it.
+func (s Scale) medianRuns(p, rocks int, vs ...variant) []lb.Result {
+	runs := make([][]lb.Result, len(vs))
+	for seed := uint64(1); seed <= uint64(s.Seeds); seed++ {
+		tr, err := erosion.NewTrace(s.App(p, rocks, seed), s.Iterations)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: run failed: %v", err))
 		}
-		runs = append(runs, run{res: res, total: res.TotalTime})
-		totals = append(totals, res.TotalTime)
+		for i, v := range vs {
+			res, err := lb.Run(s.LBConfig(p, rocks, seed, v.method, v.alpha), tr)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: run failed: %v", err))
+			}
+			runs[i] = append(runs[i], res)
+		}
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].total < runs[j].total })
-	return runs[len(runs)/2].res, totals
+	medians := make([]lb.Result, len(vs))
+	for i, rs := range runs {
+		sort.Slice(rs, func(a, b int) bool { return rs[a].TotalTime < rs[b].TotalTime })
+		medians[i] = rs[len(rs)/2]
+	}
+	return medians
 }
 
 // Fig4aCell is one bar pair of Fig. 4a: standard versus ULBA for a given
@@ -138,8 +150,8 @@ func RunFig4a(s Scale, ps []int, rocks []int, alpha float64) []Fig4aCell {
 	var out []Fig4aCell
 	for _, r := range rocks {
 		for _, p := range ps {
-			std, _ := s.medianRun(p, r, lb.Standard, alpha)
-			ul, _ := s.medianRun(p, r, lb.ULBA, alpha)
+			m := s.medianRuns(p, r, variant{lb.Standard, alpha}, variant{lb.ULBA, alpha})
+			std, ul := m[0], m[1]
 			out = append(out, Fig4aCell{
 				P: p, Rocks: r,
 				StdTime: std.TotalTime, ULBATime: ul.TotalTime,
@@ -192,9 +204,8 @@ func (r Fig4bResult) CallReduction() float64 {
 // both methods on one instance (the paper: 32 PEs, 1 strongly erodible
 // rock).
 func RunFig4b(s Scale, p int, alpha float64) Fig4bResult {
-	std, _ := s.medianRun(p, 1, lb.Standard, alpha)
-	ul, _ := s.medianRun(p, 1, lb.ULBA, alpha)
-	return Fig4bResult{P: p, Std: std, ULBA: ul, Alpha: alpha}
+	m := s.medianRuns(p, 1, variant{lb.Standard, alpha}, variant{lb.ULBA, alpha})
+	return Fig4bResult{P: p, Std: m[0], ULBA: m[1], Alpha: alpha}
 }
 
 // RenderFig4b renders the two usage traces as sparkline plots with LB
@@ -224,11 +235,14 @@ type Fig5Point struct {
 // RunFig5 reproduces Fig. 5: ULBA total time versus alpha with one strongly
 // erodible rock, for each PE count.
 func RunFig5(s Scale, ps []int, alphas []float64) []Fig5Point {
+	vs := make([]variant, len(alphas))
+	for i, a := range alphas {
+		vs[i] = variant{lb.ULBA, a}
+	}
 	var out []Fig5Point
 	for _, p := range ps {
-		for _, a := range alphas {
-			res, _ := s.medianRun(p, 1, lb.ULBA, a)
-			out = append(out, Fig5Point{P: p, Alpha: a, Time: res.TotalTime,
+		for i, res := range s.medianRuns(p, 1, vs...) {
+			out = append(out, Fig5Point{P: p, Alpha: alphas[i], Time: res.TotalTime,
 				Calls: res.LBCount(), Usage: res.MeanUsage()})
 		}
 	}

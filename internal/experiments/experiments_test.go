@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"ulba/internal/erosion"
+	"ulba/internal/lb"
 	"ulba/internal/simulate"
 )
 
@@ -115,14 +118,33 @@ func TestRenderTables(t *testing.T) {
 	}
 }
 
+// Variants sharing each seed's trace get the medians that separate runs,
+// each on its own trace, give.
 func TestMedianRunDeterministic(t *testing.T) {
 	s := tinyScale()
-	a, totalsA := s.medianRun(16, 1, 0, 0.4)
-	b, totalsB := s.medianRun(16, 1, 0, 0.4)
-	if a.TotalTime != b.TotalTime {
-		t.Error("median runs differ")
+	s.Seeds = 3
+	vs := []variant{{lb.Standard, 0.4}, {lb.ULBA, 0.4}}
+	got := s.medianRuns(16, 1, vs...)
+	if len(got) != len(vs) {
+		t.Fatalf("%d medians for %d variants", len(got), len(vs))
 	}
-	if len(totalsA) != s.Seeds || len(totalsB) != s.Seeds {
-		t.Error("totals length wrong")
+	for i, v := range vs {
+		var totals []float64
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := s.LBConfig(16, 1, seed, v.method, v.alpha)
+			tr, err := erosion.NewTrace(cfg.App, cfg.Iterations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := lb.Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			totals = append(totals, res.TotalTime)
+		}
+		slices.Sort(totals)
+		if got[i].TotalTime != totals[1] {
+			t.Errorf("%s: median total %v, separate runs give %v", v.method, got[i].TotalTime, totals)
+		}
 	}
 }

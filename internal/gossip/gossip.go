@@ -13,10 +13,10 @@
 // observation that entries are still "up to date" a few steps after
 // measurement under the principle of persistence.
 //
-// The package is transport-agnostic: the database plus the partner schedule
-// (Partner, Rounds) are pure, and StepScratch runs one dissemination
-// exchange over any Transport. The simulated MPI runtime's *mpisim.Proc
-// satisfies Transport directly.
+// The database and the partner schedule (Partner, Rounds) are pure;
+// StepScratch runs one dissemination exchange over the simulated MPI
+// runtime (*mpisim.Proc), the substrate the erosion runner's PEs run on,
+// handing pooled buffers over on both sides.
 //
 // Merging is a deterministic join: entries are totally ordered by
 // (Iter, Value), so folding any set of observations into a database yields
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 
+	"ulba/internal/mpisim"
 	"ulba/internal/stats"
 )
 
@@ -213,55 +214,22 @@ func Partner(rank, step, size int) (dst, src int) {
 	return dst, src
 }
 
-// Transport is one rank's view of a message-passing substrate: a paired
-// push-to-dst / receive-from-src exchange under a tag. *mpisim.Proc
-// satisfies it directly (the simulated runtime the paper's algorithm runs
-// on); other substrates, such as a test harness, implement it with
-// whatever wire they have.
-type Transport interface {
-	// Rank is this participant's index in [0, Size).
-	Rank() int
-	// Size is the number of participants.
-	Size() int
-	// SendRecv pushes sendData to dst and blocks until the payload sent by
-	// src under the same tag has arrived, returning it.
-	SendRecv(dst int, sendData []byte, src, tag int) []byte
-}
-
-// OwnedTransport is the zero-copy extension of Transport: the exchange
-// hands the send buffer over to the substrate and returns a payload the
-// caller owns, with pooled buffers on both sides. *mpisim.Proc implements
-// it; StepScratch uses it when available to disseminate without per-step
-// allocations.
-type OwnedTransport interface {
-	Transport
-	// AcquireBuf returns an empty reusable buffer to encode into.
-	AcquireBuf() []byte
-	// ReleaseBuf recycles a buffer obtained from SendRecvOwned.
-	ReleaseBuf(b []byte)
-	// SendRecvOwned is SendRecv with ownership transfer: sendData must not
-	// be touched after the call, and the returned payload belongs to the
-	// caller.
-	SendRecvOwned(dst int, sendData []byte, src, tag int) []byte
-}
-
-// Scratch holds the reusable buffers of one rank's dissemination loop.
-// The zero value is ready to use.
+// Scratch holds the reusable entry buffer of one rank's dissemination
+// loop. The zero value is ready to use.
 type Scratch struct {
 	entries []Entry
-	frame   []byte
 }
 
 // StepScratch performs one dissemination step at the given step index over
-// the transport: push the whole database to the doubling-ring partner and
-// merge what the mirror partner pushed to us. All ranks must call it with
-// the same step index and tag. A world of one rank is a no-op. A rank
-// stepping every iteration passes the same Scratch each time, reusing its
-// entry slice and wire frame instead of allocating them per step; over an
-// OwnedTransport the exchange itself is allocation-free too. A nil scratch
-// allocates fresh buffers for this step.
-func StepScratch(t Transport, db *DB, step int, tag int, s *Scratch) {
-	size := t.Size()
+// the rank's simulated runtime: push the whole database to the
+// doubling-ring partner and merge what the mirror partner pushed to us.
+// All ranks must call it with the same step index and tag. A world of one
+// rank is a no-op. A rank stepping every iteration passes the same Scratch
+// each time, reusing its entry slice instead of allocating it per step;
+// the exchange itself travels in pooled buffers, so the step is
+// allocation-free. A nil scratch allocates a fresh buffer for this step.
+func StepScratch(p *mpisim.Proc, db *DB, step int, tag int, s *Scratch) {
+	size := p.Size()
 	if size == 1 {
 		return
 	}
@@ -269,16 +237,10 @@ func StepScratch(t Transport, db *DB, step int, tag int, s *Scratch) {
 	if s == nil {
 		s = &local
 	}
-	dst, src := Partner(t.Rank(), step, size)
+	dst, src := Partner(p.Rank(), step, size)
 	s.entries = db.AppendSnapshot(s.entries[:0])
-	if ot, ok := t.(OwnedTransport); ok {
-		payload := ot.SendRecvOwned(dst, AppendEntries(ot.AcquireBuf(), s.entries), src, tag)
-		s.entries = DecodeEntriesInto(s.entries[:0], payload)
-		ot.ReleaseBuf(payload)
-	} else {
-		s.frame = AppendEntries(s.frame[:0], s.entries)
-		payload := t.SendRecv(dst, s.frame, src, tag)
-		s.entries = DecodeEntriesInto(s.entries[:0], payload)
-	}
+	payload := p.SendRecvOwned(dst, AppendEntries(p.AcquireBuf(), s.entries), src, tag)
+	s.entries = DecodeEntriesInto(s.entries[:0], payload)
+	p.ReleaseBuf(payload)
 	db.Merge(s.entries)
 }

@@ -361,54 +361,6 @@ func TestPartnerSchedule(t *testing.T) {
 	}
 }
 
-// pairTransport is a plain (non-owned) two-rank loopback Transport over
-// buffered channels; it exercises StepScratch's copying fallback path,
-// which must not assume the substrate takes ownership of the frame.
-type pairTransport struct {
-	rank int
-	ch   *[2]chan []byte
-}
-
-func (t pairTransport) Rank() int { return t.rank }
-func (t pairTransport) Size() int { return 2 }
-func (t pairTransport) SendRecv(dst int, sendData []byte, src, tag int) []byte {
-	// The caller retains sendData (plain Transport contract): clone it onto
-	// the peer's channel exactly like a real wire would.
-	t.ch[dst] <- append([]byte(nil), sendData...)
-	return <-t.ch[t.rank]
-}
-
-// StepScratch over a plain Transport must reach the same database state as
-// the owned path the mpisim-backed tests exercise, while reusing the
-// caller's scratch buffers across steps.
-func TestStepScratchPlainTransportFallback(t *testing.T) {
-	ch := [2]chan []byte{make(chan []byte, 1), make(chan []byte, 1)}
-	dbs := [2]*DB{NewDB(0, 2), NewDB(1, 2)}
-	done := make(chan error, 2)
-	for r := 0; r < 2; r++ {
-		go func(r int) {
-			tr := pairTransport{rank: r, ch: &ch}
-			var s Scratch
-			for i := 0; i < 4; i++ {
-				dbs[r].Update(r, float64((r+1)*10+i), i)
-				StepScratch(tr, dbs[r], i, 9, &s)
-			}
-			done <- nil
-		}(r)
-	}
-	for r := 0; r < 2; r++ {
-		<-done
-	}
-	for r := 0; r < 2; r++ {
-		for q := 0; q < 2; q++ {
-			e, ok := dbs[r].Get(q)
-			if !ok || e.Iter != 3 || e.Value != float64((q+1)*10+3) {
-				t.Fatalf("rank %d: entry for %d stale or missing: %+v ok=%v", r, q, e, ok)
-			}
-		}
-	}
-}
-
 // AppendSnapshot with sufficient capacity must not reallocate, and must
 // produce the same entries as Snapshot.
 func TestAppendSnapshotReuses(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"ulba/internal/erosion"
 	"ulba/internal/mpisim"
+	"ulba/internal/stats"
 )
 
 func testApp(p int) erosion.Config {
@@ -34,26 +35,54 @@ func testConfig(p int, m Method) Config {
 	}
 }
 
+// newTrace builds the erosion trace cfg runs on.
+func newTrace(t *testing.T, cfg Config) *erosion.Trace {
+	t.Helper()
+	tr, err := erosion.NewTrace(cfg.App, cfg.Iterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// run executes cfg on its own trace.
+func run(t *testing.T, cfg Config) Result {
+	t.Helper()
+	res, err := Run(cfg, newTrace(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// Run rejects every invalid configuration with an error, and so a trace of
+// another instance or of fewer iterations than the run.
 func TestConfigValidation(t *testing.T) {
 	good := testConfig(4, Standard)
 	if err := good.Normalized().Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	tr := newTrace(t, good)
 	bad := map[string]func(*Config){
-		"iters":      func(c *Config) { c.Iterations = 0 },
-		"alpha":      func(c *Config) { c.Alpha = 1.5 },
-		"method":     func(c *Config) { c.Method = Method(9) },
-		"rcbUlba":    func(c *Config) { c.UseRCB = true; c.Method = ULBA },
-		"warmupLate": func(c *Config) { c.WarmupLB = 100 },
-		"appBroken":  func(c *Config) { c.App.Radius = 0 },
-		"costBroken": func(c *Config) { c.Cost.FLOPS = 0 },
+		"iters":        func(c *Config) { c.Iterations = 0 },
+		"alpha":        func(c *Config) { c.Alpha = 1.5 },
+		"method":       func(c *Config) { c.Method = Method(9) },
+		"rcbUlba":      func(c *Config) { c.UseRCB = true; c.Method = ULBA },
+		"warmupLate":   func(c *Config) { c.WarmupLB = 100 },
+		"appBroken":    func(c *Config) { c.App.Radius = 0 },
+		"costBroken":   func(c *Config) { c.Cost.FLOPS = 0 },
+		"otherTrace":   func(c *Config) { c.App.Seed++ },
+		"shorterTrace": func(c *Config) { c.Iterations++ },
 	}
 	for name, mutate := range bad {
 		c := testConfig(4, ULBA).Normalized()
 		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: invalid config accepted", name)
+		if _, err := Run(c, tr); err == nil {
+			t.Errorf("%s: invalid run accepted", name)
 		}
+	}
+	if _, err := Run(good, nil); err == nil {
+		t.Error("run without a trace accepted")
 	}
 }
 
@@ -133,10 +162,7 @@ func TestDegradationTrigger(t *testing.T) {
 }
 
 func TestRunStandardCompletes(t *testing.T) {
-	res, err := Run(testConfig(4, Standard))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(4, Standard))
 	if res.TotalTime <= 0 {
 		t.Error("no time elapsed")
 	}
@@ -162,46 +188,36 @@ func TestRunStandardCompletes(t *testing.T) {
 	}
 }
 
-// The physics must be identical across policies (counter-based RNG): the
-// same instance run under Standard, ULBA, or sequentially erodes the same
-// cells.
+// The physics must be identical across policies: the same instance run
+// under Standard or ULBA, whose ranks migrate weights between them, erodes
+// the same cells and ends at the same workload as the trace read over the
+// whole domain.
 func TestPhysicsIndependentOfPolicy(t *testing.T) {
-	app := testApp(4)
-	iters := 60
-
-	seq := erosion.NewDomain(app, 0, app.Width())
+	cfg := testConfig(4, Standard)
+	tr := newTrace(t, cfg)
+	w := tr.Weights(0, cfg.App.Width())
 	seqEroded := 0
-	for i := 0; i < iters; i++ {
-		seqEroded += seq.Step(i, nil, nil)
+	for i := 0; i < cfg.Iterations; i++ {
+		seqEroded += tr.Advance(i, 0, w)
 	}
 
-	std, err := Run(testConfig(4, Standard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ul, err := Run(testConfig(4, ULBA))
-	if err != nil {
-		t.Fatal(err)
+	std := run(t, cfg)
+	ul := run(t, testConfig(4, ULBA))
+	if std.LBCount() < 2 || ul.LBCount() < 2 {
+		t.Fatalf("runs balanced only %d and %d times; the test needs migrations", std.LBCount(), ul.LBCount())
 	}
 	if std.Eroded != seqEroded || ul.Eroded != seqEroded {
 		t.Errorf("eroded cells differ: seq %d, std %d, ulba %d", seqEroded, std.Eroded, ul.Eroded)
 	}
-	if std.FinalWorkload != seq.Workload() || ul.FinalWorkload != seq.Workload() {
-		t.Errorf("final workloads differ: seq %v, std %v, ulba %v",
-			seq.Workload(), std.FinalWorkload, ul.FinalWorkload)
+	if seq := stats.Sum(w); std.FinalWorkload != seq || ul.FinalWorkload != seq {
+		t.Errorf("final workloads differ: seq %v, std %v, ulba %v", seq, std.FinalWorkload, ul.FinalWorkload)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := testConfig(4, ULBA)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, cfg)
+	b := run(t, cfg)
 	if a.TotalTime != b.TotalTime || a.LBCount() != b.LBCount() || a.Eroded != b.Eroded {
 		t.Errorf("runs differ: %+v vs %+v", a, b)
 	}
@@ -218,14 +234,8 @@ func TestULBAAlphaZeroEqualsStandard(t *testing.T) {
 	cfgStd := testConfig(4, Standard)
 	cfgZero := testConfig(4, ULBA)
 	cfgZero.Alpha = 0
-	std, err := Run(cfgStd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := Run(cfgZero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	std := run(t, cfgStd)
+	zero := run(t, cfgZero)
 	if std.TotalTime != zero.TotalTime {
 		t.Errorf("alpha=0 ULBA total %v != standard %v", zero.TotalTime, std.TotalTime)
 	}
@@ -238,10 +248,7 @@ func TestNeverTriggerStaticBaseline(t *testing.T) {
 	cfg := testConfig(4, Standard)
 	cfg.TriggerFactory = func() Trigger { return Never{} }
 	cfg.WarmupLB = -1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	if res.LBCount() != 0 {
 		t.Errorf("static baseline performed %d LB calls", res.LBCount())
 	}
@@ -258,10 +265,7 @@ func TestPeriodicTrigger(t *testing.T) {
 	cfg := testConfig(4, Standard)
 	cfg.TriggerFactory = func() Trigger { return &Periodic{K: 10} }
 	cfg.WarmupLB = -1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	// 60 iterations, LB every 10 observed iterations: at 9, 19(=10 after
 	// reset), ... roughly 6 calls.
 	if res.LBCount() < 4 || res.LBCount() > 7 {
@@ -272,10 +276,7 @@ func TestPeriodicTrigger(t *testing.T) {
 func TestRCBPartitionerAblation(t *testing.T) {
 	cfg := testConfig(4, Standard)
 	cfg.UseRCB = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	if res.LBCount() == 0 || res.TotalTime <= 0 {
 		t.Error("RCB run did not progress")
 	}
@@ -285,14 +286,8 @@ func TestRCBPartitionerAblation(t *testing.T) {
 // erodible rock, ULBA should not lose to the standard method, and it should
 // need no more LB calls.
 func TestULBACompetitiveWithStandard(t *testing.T) {
-	std, err := Run(testConfig(8, Standard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ul, err := Run(testConfig(8, ULBA))
-	if err != nil {
-		t.Fatal(err)
-	}
+	std := run(t, testConfig(8, Standard))
+	ul := run(t, testConfig(8, ULBA))
 	if ul.TotalTime > std.TotalTime*1.05 {
 		t.Errorf("ULBA total %v much worse than standard %v", ul.TotalTime, std.TotalTime)
 	}
@@ -307,10 +302,7 @@ func TestULBACompetitiveWithStandard(t *testing.T) {
 func TestAdaptiveAlphaRuns(t *testing.T) {
 	cfg := testConfig(4, ULBA)
 	cfg.AdaptiveAlpha = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	if res.TotalTime <= 0 || len(res.Usage) != cfg.Iterations {
 		t.Error("adaptive-alpha run did not complete properly")
 	}
@@ -320,13 +312,8 @@ func TestWorkloadConservationAcrossMigration(t *testing.T) {
 	// Total workload after the run must equal initial fluid + 4*eroded,
 	// regardless of how many migrations happened.
 	cfg := testConfig(4, ULBA)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := cfg.App
-	ref := erosion.NewDomain(app, 0, app.Width())
-	initialFluid := ref.Workload()
+	res := run(t, cfg)
+	initialFluid := stats.Sum(newTrace(t, cfg).Weights(0, cfg.App.Width()))
 	want := initialFluid + 4*float64(res.Eroded)
 	if res.FinalWorkload != want {
 		t.Errorf("workload not conserved: %v, want %v", res.FinalWorkload, want)
@@ -381,18 +368,12 @@ func TestMenonTauTrigger(t *testing.T) {
 func TestMenonTriggerIntegration(t *testing.T) {
 	cfg := testConfig(8, Standard)
 	cfg.TriggerFactory = func() Trigger { return NewMenonTau() }
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	if res.LBCount() == 0 {
 		t.Error("Menon trigger never fired (warmup only expected at minimum)")
 	}
 	// Same physics as ever.
-	ref, err := Run(testConfig(8, Standard))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := run(t, testConfig(8, Standard))
 	if res.Eroded != ref.Eroded {
 		t.Errorf("trigger choice changed the physics: %d vs %d", res.Eroded, ref.Eroded)
 	}
@@ -412,7 +393,7 @@ func TestTriggerKindsAllRun(t *testing.T) {
 		if name == "never" {
 			cfg.WarmupLB = -1
 		}
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(cfg, newTrace(t, cfg)); err != nil {
 			t.Errorf("trigger %s failed: %v", name, err)
 		}
 	}
@@ -420,17 +401,11 @@ func TestTriggerKindsAllRun(t *testing.T) {
 
 func TestOSNoiseInjection(t *testing.T) {
 	base := testConfig(4, ULBA)
-	clean, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := run(t, base)
 	noisy := base
 	// Noise comparable to an iteration's compute: heavy interference.
 	noisy.OSNoise = clean.TotalTime / float64(base.Iterations)
-	res, err := Run(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, noisy)
 	if res.TotalTime <= clean.TotalTime {
 		t.Errorf("noise should cost time: %v vs %v", res.TotalTime, clean.TotalTime)
 	}
@@ -442,10 +417,7 @@ func TestOSNoiseInjection(t *testing.T) {
 		t.Errorf("noise changed the physics: %d vs %d", res.Eroded, clean.Eroded)
 	}
 	// Still deterministic.
-	res2, err := Run(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := run(t, noisy)
 	if res.TotalTime != res2.TotalTime {
 		t.Error("noisy runs are not reproducible")
 	}
@@ -496,10 +468,7 @@ func TestFixedScheduleRunMatchesPlan(t *testing.T) {
 	plan := []int{10, 25, 40}
 	cfg.TriggerFactory = func() Trigger { return &FixedSchedule{Iters: plan} }
 	cfg.WarmupLB = -1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	if res.LBCount() != len(plan) {
 		t.Fatalf("ran %d LB steps, plan has %d (at %v)", res.LBCount(), len(plan), res.LBIters)
 	}

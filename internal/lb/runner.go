@@ -92,9 +92,8 @@ type Config struct {
 	// after a LB step to rebuild its mesh data structures (reindexing,
 	// ghost-layer registration, solver state). It is the fixed,
 	// alpha-independent component of the LB cost C — the paper's model
-	// treats C as a per-call constant — and in this code base it mirrors
-	// work Domain.Rebuild genuinely performs. The default (0 value) is
-	// 256 FLOP per cell.
+	// treats C as a per-call constant. The default (0 value) is 256 FLOP
+	// per cell.
 	RebuildFlopPerCell float64
 
 	// OSNoise injects up to this many seconds of uniformly random
@@ -199,12 +198,26 @@ const (
 )
 
 // Run executes the erosion application on cfg.App.P simulated PEs under the
-// configured method and returns the measured result. Runs are fully
-// deterministic: same config, same result.
-func Run(cfg Config) (Result, error) {
+// configured method and returns the measured result. The physics comes
+// from tr, the instance's erosion trace over at least cfg.Iterations
+// iterations: each rank keeps only the weights of the columns it owns and
+// advances them from the trace, halo exchanges are charged their modeled
+// bytes but carry nothing, and migrations carry the moved columns' weights.
+// One trace serves every method and trigger run on its instance. Runs are
+// fully deterministic: same config and trace, same result.
+func Run(cfg Config, tr *erosion.Trace) (Result, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	switch {
+	case tr == nil:
+		return Result{}, fmt.Errorf("lb: no erosion trace")
+	case tr.Config() != cfg.App:
+		return Result{}, fmt.Errorf("lb: the erosion trace is of another instance")
+	case tr.Iterations() < cfg.Iterations:
+		return Result{}, fmt.Errorf("lb: the erosion trace covers %d iterations, the run needs %d",
+			tr.Iterations(), cfg.Iterations)
 	}
 	app := cfg.App
 	p := app.P
@@ -231,7 +244,7 @@ func Run(cfg Config) (Result, error) {
 		for i := range bounds {
 			bounds[i] = i * app.StripeWidth
 		}
-		dom := erosion.NewDomain(app, bounds[rank], bounds[rank+1])
+		weights := tr.Weights(bounds[rank], bounds[rank+1])
 
 		det := core.NewDetector(p)
 		det.ZThreshold = cfg.ZThreshold
@@ -251,59 +264,41 @@ func Run(cfg Config) (Result, error) {
 		var lbCostAvg stats.Running
 		prevMax := 0.0
 
-		// Per-rank scratch reused across all iterations: halo cell
-		// columns, the 3-element allreduce payload, and the gossip
-		// dissemination buffers. The steady-state loop allocates
-		// nothing on the wire paths.
-		var haloLeft, haloRight []erosion.Cell
+		// Per-rank scratch reused across all iterations: the 3-element
+		// allreduce payload and the gossip dissemination buffers.
 		var red [3]float64
 		var gs gossip.Scratch
 
 		for i := 0; i < cfg.Iterations; i++ {
 			// Halo exchange (state after iteration i-1). Buffered
 			// sends cannot deadlock. One column of cell state goes
-			// over the wire in each direction, encoded straight into
-			// a pooled buffer whose ownership transfers with the send.
+			// over the modeled wire in each direction; the trace
+			// already holds its effect on the physics.
 			haloBytes := app.Height * app.WireBytesPerCell()
 			if rank > 0 {
-				proc.SendOwnedV(rank-1, tagHaloToLeft,
-					dom.AppendBoundary(proc.AcquireBuf(), true), haloBytes)
+				proc.SendOwnedV(rank-1, tagHaloToLeft, nil, haloBytes)
 			}
 			if rank < p-1 {
-				proc.SendOwnedV(rank+1, tagHaloToRight,
-					dom.AppendBoundary(proc.AcquireBuf(), false), haloBytes)
-			}
-			var left, right []erosion.Cell
-			if rank < p-1 {
-				wire := proc.Recv(rank+1, tagHaloToLeft)
-				haloRight = erosion.UnpackHaloInto(haloRight[:0], wire)
-				proc.ReleaseBuf(wire)
-				if len(haloRight) > 0 {
-					right = haloRight
-				}
+				proc.SendOwnedV(rank+1, tagHaloToRight, nil, haloBytes)
+				proc.Recv(rank+1, tagHaloToLeft)
 			}
 			if rank > 0 {
-				wire := proc.Recv(rank-1, tagHaloToRight)
-				haloLeft = erosion.UnpackHaloInto(haloLeft[:0], wire)
-				proc.ReleaseBuf(wire)
-				if len(haloLeft) > 0 {
-					left = haloLeft
-				}
+				proc.Recv(rank-1, tagHaloToRight)
 			}
 
 			// The compute phase of the iteration: cost proportional
 			// to the fluid workload owned, plus injected system
 			// noise if configured.
-			flop := dom.Flop()
+			flop := app.FlopPerUnit * stats.Sum(weights)
 			proc.Compute(flop)
 			if cfg.OSNoise > 0 {
 				proc.Elapse(cfg.OSNoise * stats.HashUniform(app.Seed^0x05, uint64(i), uint64(rank)))
 			}
-			erodedPerRank[rank] += dom.Step(i, left, right)
+			erodedPerRank[rank] += tr.Advance(i, bounds[rank], weights)
 
 			// Monitoring: WIR update and one gossip dissemination
 			// step per iteration (Section III-C).
-			work := dom.Workload()
+			work := stats.Sum(weights)
 			ctrl.Record(i, work)
 			gossip.StepScratch(proc, ctrl.DB(), i, tagGossip, &gs)
 
@@ -348,8 +343,8 @@ func Run(cfg Config) (Result, error) {
 			if cfg.Method == ULBA {
 				alphaMine = ctrl.AlphaForLB()
 			}
-			newBounds, newDom, nOverloading := callLoadBalancer(proc, dom, bounds, alphaMine, cfg)
-			dom = newDom
+			newBounds, newWeights, nOverloading := callLoadBalancer(proc, weights, bounds, alphaMine, cfg)
+			weights = newWeights
 			bounds = newBounds
 			lbEnd := proc.AllreduceMax(proc.Clock())
 			cost := lbEnd - maxClock
@@ -365,7 +360,7 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// Final accounting.
-		total := proc.AllreduceSum(dom.Workload())
+		total := proc.AllreduceSum(stats.Sum(weights))
 		if rank == 0 {
 			finalWorkload = total
 			finalBounds = bounds
@@ -413,26 +408,28 @@ func Run(cfg Config) (Result, error) {
 // sends its per-column weights and its alpha to the main PE, which computes
 // the ULBA targets (with the >= 50% fallback), cuts new stripes, and
 // broadcasts them; then columns migrate point-to-point along the
-// deterministic transfer plan and each PE rebuilds its domain. The third
-// return is the number of PEs that submitted alpha > 0 (known to the main
-// PE and broadcast with the partition).
-func callLoadBalancer(proc *mpisim.Proc, dom *erosion.Domain, oldBounds []int,
-	alpha float64, cfg Config) ([]int, *erosion.Domain, int) {
+// deterministic transfer plan and each PE rebuilds its mesh structures.
+// weights are the calling PE's column weights under oldBounds; it returns
+// the new bounds, its column weights under them, and the number of PEs that
+// submitted alpha > 0 (known to the main PE and broadcast with the
+// partition).
+func callLoadBalancer(proc *mpisim.Proc, weights []float64, oldBounds []int,
+	alpha float64, cfg Config) ([]int, []float64, int) {
 
 	p := proc.Size()
-	app := dom.Config()
+	rank := proc.Rank()
+	app := cfg.App
 	width := app.Width()
+	lo := oldBounds[rank]
 
 	// Gather [alpha, lo, weights...] on the main PE.
-	payload := make([]float64, 0, 2+dom.NumCols())
-	payload = append(payload, alpha, float64(dom.Lo()))
-	for x := dom.Lo(); x < dom.Hi(); x++ {
-		payload = append(payload, dom.ColWeight(x))
-	}
+	payload := make([]float64, 0, 2+len(weights))
+	payload = append(payload, alpha, float64(lo))
+	payload = append(payload, weights...)
 	parts := proc.Gather(0, mpisim.PackFloat64s(payload))
 
 	var boundsWire []byte
-	if proc.Rank() == 0 {
+	if rank == 0 {
 		colW := make([]float64, width)
 		alphas := make([]float64, p)
 		nOver := 0
@@ -462,33 +459,38 @@ func callLoadBalancer(proc *mpisim.Proc, dom *erosion.Domain, oldBounds []int,
 	wire := mpisim.UnpackInts(proc.Bcast(0, boundsWire))
 	nOverloading := wire[0]
 	newBounds := wire[1:]
+	newLo, newHi := newBounds[rank], newBounds[rank+1]
 
 	// Migration along the shared deterministic plan: sends first (eager,
-	// non-blocking), then receives in plan order. Every migrated cell
-	// ships its full modeled state; packing and unpacking cost FLOP
-	// proportional to the cells moved.
+	// non-blocking), then receives in plan order. Every migrated cell is
+	// charged its full modeled state; packing and unpacking cost FLOP
+	// proportional to the cells moved. The message itself carries the
+	// moved columns' weights, all the receiver needs of them.
+	newWeights := make([]float64, newHi-newLo)
+	if keepLo, keepHi := max(lo, newLo), min(oldBounds[rank+1], newHi); keepLo < keepHi {
+		copy(newWeights[keepLo-newLo:], weights[keepLo-lo:keepHi-lo])
+	}
 	plan := partition.Transfers(oldBounds, newBounds)
 	for _, tr := range plan {
-		if tr.From == proc.Rank() {
+		if tr.From == rank {
 			cells := (tr.Hi - tr.Lo) * app.Height
 			proc.Compute(0.5 * cfg.MigrateFlopPerCell * float64(cells))
 			proc.SendOwnedV(tr.To, tagMigrate,
-				dom.AppendRange(proc.AcquireBuf(), tr.Lo, tr.Hi),
+				mpisim.PackFloat64sInto(proc.AcquireBuf(), weights[tr.Lo-lo:tr.Hi-lo]),
 				cells*app.WireBytesPerCell())
 		}
 	}
-	received := make(map[int][][]erosion.Cell)
 	for _, tr := range plan {
-		if tr.To == proc.Rank() {
+		if tr.To == rank {
 			wire := proc.Recv(tr.From, tagMigrate)
-			received[tr.Lo] = erosion.UnpackCells(wire, app.Height)
+			// Decodes in place: the received columns lie inside newWeights.
+			mpisim.UnpackFloat64sInto(newWeights[tr.Lo-newLo:tr.Lo-newLo], wire)
 			proc.ReleaseBuf(wire)
 			cells := (tr.Hi - tr.Lo) * app.Height
 			proc.Compute(cfg.MigrateFlopPerCell * float64(cells))
 		}
 	}
-	newDom := dom.Rebuild(newBounds[proc.Rank()], newBounds[proc.Rank()+1], received)
 	// Every PE rebuilds its local mesh structures over its (new) range.
-	proc.Compute(cfg.RebuildFlopPerCell * float64(newDom.NumCols()) * float64(app.Height))
-	return newBounds, newDom, nOverloading
+	proc.Compute(cfg.RebuildFlopPerCell * float64(newHi-newLo) * float64(app.Height))
+	return newBounds, newWeights, nOverloading
 }

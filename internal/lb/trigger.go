@@ -1,8 +1,10 @@
 // Package lb is the load-balancing framework of the reproduction: adaptive
 // triggers (the degradation-accumulation rule of Zhai et al. [7] used by
-// Algorithm 1), LB-cost tracking, and the distributed Runner that executes
-// the erosion application over the simulated runtime under either the
-// standard LB method or ULBA.
+// Algorithm 1), LB-cost tracking, and the distributed runner (Run) that
+// executes the erosion application over the simulated runtime under either
+// the standard LB method or ULBA. The runner reads the application's physics
+// from an erosion.Trace computed once per instance, so its ranks hold and
+// migrate column weights, never cells.
 package lb
 
 import (
