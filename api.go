@@ -1,8 +1,6 @@
 package ulba
 
 import (
-	"context"
-
 	"ulba/internal/erosion"
 	"ulba/internal/instance"
 	"ulba/internal/lb"
@@ -106,15 +104,4 @@ func DefaultAppConfig(p int) AppConfig {
 // DefaultCostModel returns the reference cluster cost model.
 func DefaultCostModel() CostModel {
 	return mpisim.DefaultCostModel()
-}
-
-// RunContext executes a raw RunConfig on the simulated cluster with
-// cancellation, for callers holding one. New code should prefer the
-// Experiment builder.
-func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
-	e := &Experiment{cfg: cfg.Normalized()}
-	if err := e.cfg.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	return e.Run(ctx)
 }

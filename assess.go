@@ -180,12 +180,9 @@ func (a *Assessment) Criteria() []Criterion {
 	return append([]Criterion(nil), a.criteria...)
 }
 
-// Scenarios is the number of scenario columns; Cells is criteria x
-// scenarios, the grid size every result surface indexes into.
+// Scenarios is the number of scenario columns; the cell grid every result
+// surface indexes into is criteria x scenarios.
 func (a *Assessment) Scenarios() int { return a.scenarios }
-
-// Cells is the total cell count of the grid.
-func (a *Assessment) Cells() int { return len(a.cells) }
 
 // Run executes every cell and returns the per-criterion scores with the
 // cell-ordered results. The RuntimeSweep contract carries over: output is

@@ -16,7 +16,7 @@
 // The database and the partner schedule (Partner, Rounds) are pure;
 // StepScratch runs one dissemination exchange over the simulated MPI
 // runtime (*mpisim.Proc), the substrate the erosion runner's PEs run on,
-// handing pooled buffers over on both sides.
+// as one plain Send and Recv.
 //
 // Merging is a deterministic join: entries are totally ordered by
 // (Iter, Value), so folding any set of observations into a database yields
@@ -225,9 +225,9 @@ type Scratch struct {
 // doubling-ring partner and merge what the mirror partner pushed to us.
 // All ranks must call it with the same step index and tag. A world of one
 // rank is a no-op. A rank stepping every iteration passes the same Scratch
-// each time, reusing its entry slice instead of allocating it per step;
-// the exchange itself travels in pooled buffers, so the step is
-// allocation-free. A nil scratch allocates a fresh buffer for this step.
+// each time, reusing its entry slice instead of allocating it per step; the
+// pushed message is the one buffer the step allocates. A nil scratch
+// allocates a fresh entry slice for this step.
 func StepScratch(p *mpisim.Proc, db *DB, step int, tag int, s *Scratch) {
 	size := p.Size()
 	if size == 1 {
@@ -239,8 +239,7 @@ func StepScratch(p *mpisim.Proc, db *DB, step int, tag int, s *Scratch) {
 	}
 	dst, src := Partner(p.Rank(), step, size)
 	s.entries = db.AppendSnapshot(s.entries[:0])
-	payload := p.SendRecvOwned(dst, AppendEntries(p.AcquireBuf(), s.entries), src, tag)
-	s.entries = DecodeEntriesInto(s.entries[:0], payload)
-	p.ReleaseBuf(payload)
+	p.Send(dst, tag, AppendEntries(make([]byte, 0, entryBytes*len(s.entries)), s.entries))
+	s.entries = DecodeEntriesInto(s.entries[:0], p.Recv(src, tag))
 	db.Merge(s.entries)
 }

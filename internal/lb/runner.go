@@ -49,7 +49,6 @@ type Config struct {
 	AdaptiveAlpha bool    // use the adaptive-alpha extension instead of the fixed value
 
 	ZThreshold float64 // overload detection threshold (default 3.0)
-	WIRWindow  int     // WIR regression window (default 8)
 
 	// TriggerFactory, when non-nil, decides when to balance: every rank
 	// calls it once to obtain a fresh trigger state machine. Nil means
@@ -72,30 +71,6 @@ type Config struct {
 	// Incompatible with ULBA.
 	UseRCB bool
 
-	// PartitionFlopPerCol is the compute charged to the main PE per
-	// domain column at each LB step: the centralized stripe technique
-	// ("the stripe associated to each PE is computed on a single PE")
-	// scans the gathered column weights. The default (0 value) is 64
-	// FLOP per column.
-	PartitionFlopPerCol float64
-
-	// MigrateFlopPerCell is the compute charged per migrated cell for
-	// packing (sender) and unpacking (receiver) of the cell's state
-	// during migration. Together with CellBytes it makes part of the LB
-	// cost grow with the amount of workload actually moved. The default
-	// (0 value) is 64 FLOP per cell, which together with the default
-	// CellBytes keeps the cost of moving one cell near one iteration of
-	// that cell's compute, as in real mesh codes.
-	MigrateFlopPerCell float64
-
-	// RebuildFlopPerCell is the compute every PE pays per local cell
-	// after a LB step to rebuild its mesh data structures (reindexing,
-	// ghost-layer registration, solver state). It is the fixed,
-	// alpha-independent component of the LB cost C — the paper's model
-	// treats C as a per-call constant. The default (0 value) is 256 FLOP
-	// per cell.
-	RebuildFlopPerCell float64
-
 	// OSNoise injects up to this many seconds of uniformly random
 	// system noise into every PE at every iteration (deterministic per
 	// rank and iteration), modeling the "systemic characteristics" the
@@ -107,25 +82,40 @@ type Config struct {
 	OSNoise float64
 }
 
+// The erosion runner's LB-step costs and its WIR regression window.
+const (
+	// partitionFlopPerCol is the compute charged to the main PE per
+	// domain column at each LB step: the centralized stripe technique
+	// ("the stripe associated to each PE is computed on a single PE")
+	// scans the gathered column weights.
+	partitionFlopPerCol = 64
+
+	// migrateFlopPerCell is the compute charged per migrated cell for
+	// packing (sender, half) and unpacking (receiver, full) of the cell's
+	// state. Together with the modeled wire bytes per cell it makes part
+	// of the LB cost grow with the workload actually moved, and it keeps
+	// the cost of moving one cell near one iteration of that cell's
+	// compute, as in real mesh codes.
+	migrateFlopPerCell = 64
+
+	// rebuildFlopPerCell is the compute every PE pays per local cell
+	// after a LB step to rebuild its mesh data structures (reindexing,
+	// ghost-layer registration, solver state). It is the fixed,
+	// alpha-independent component of the LB cost C — the paper's model
+	// treats C as a per-call constant.
+	rebuildFlopPerCell = 256
+
+	// wirWindow is the WIR regression window of every rank's controller.
+	wirWindow = 8
+)
+
 // Normalized returns the config with defaults applied.
 func (c Config) Normalized() Config {
 	if c.ZThreshold == 0 {
 		c.ZThreshold = core.DefaultZThreshold
 	}
-	if c.WIRWindow == 0 {
-		c.WIRWindow = 8
-	}
 	if c.WarmupLB == 0 {
 		c.WarmupLB = 1
-	}
-	if c.PartitionFlopPerCol == 0 {
-		c.PartitionFlopPerCol = 64
-	}
-	if c.MigrateFlopPerCell == 0 {
-		c.MigrateFlopPerCell = 64
-	}
-	if c.RebuildFlopPerCell == 0 {
-		c.RebuildFlopPerCell = 256
 	}
 	return c
 }
@@ -152,15 +142,6 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupLB >= c.Iterations {
 		return fmt.Errorf("lb: WarmupLB = %d beyond the run of %d iterations", c.WarmupLB, c.Iterations)
-	}
-	if c.PartitionFlopPerCol < 0 {
-		return fmt.Errorf("lb: PartitionFlopPerCol = %g must be non-negative", c.PartitionFlopPerCol)
-	}
-	if c.MigrateFlopPerCell < 0 {
-		return fmt.Errorf("lb: MigrateFlopPerCell = %g must be non-negative", c.MigrateFlopPerCell)
-	}
-	if c.RebuildFlopPerCell < 0 {
-		return fmt.Errorf("lb: RebuildFlopPerCell = %g must be non-negative", c.RebuildFlopPerCell)
 	}
 	if c.OSNoise < 0 {
 		return fmt.Errorf("lb: OSNoise = %g must be non-negative", c.OSNoise)
@@ -234,7 +215,7 @@ func Run(cfg Config, tr *erosion.Trace) (Result, error) {
 	var finalWorkload float64
 	erodedPerRank := make([]int, p)
 
-	clocks, allStats, err := mpisim.RunCollectPooled(p, cfg.Cost, func(proc *mpisim.Proc) error {
+	clocks, allStats, err := mpisim.RunCollect(p, cfg.Cost, func(proc *mpisim.Proc) error {
 		rank := proc.Rank()
 
 		// Initial partition: one stripe (and one rock) per PE, the
@@ -252,7 +233,7 @@ func Run(cfg Config, tr *erosion.Trace) (Result, error) {
 		if cfg.AdaptiveAlpha {
 			policy = core.DefaultAdaptiveAlpha()
 		}
-		ctrl := core.NewController(rank, p, cfg.WIRWindow, det, policy)
+		ctrl := core.NewController(rank, p, wirWindow, det, policy)
 
 		var trig Trigger
 		if cfg.TriggerFactory != nil {
@@ -276,10 +257,10 @@ func Run(cfg Config, tr *erosion.Trace) (Result, error) {
 			// already holds its effect on the physics.
 			haloBytes := app.Height * app.WireBytesPerCell()
 			if rank > 0 {
-				proc.SendOwnedV(rank-1, tagHaloToLeft, nil, haloBytes)
+				proc.SendV(rank-1, tagHaloToLeft, nil, haloBytes)
 			}
 			if rank < p-1 {
-				proc.SendOwnedV(rank+1, tagHaloToRight, nil, haloBytes)
+				proc.SendV(rank+1, tagHaloToRight, nil, haloBytes)
 				proc.Recv(rank+1, tagHaloToLeft)
 			}
 			if rank > 0 {
@@ -453,7 +434,7 @@ func callLoadBalancer(proc *mpisim.Proc, weights []float64, oldBounds []int,
 		newBounds = partition.EnsureMinCols(newBounds, 1)
 		// The centralized partitioning technique runs on the main PE
 		// over the gathered column weights.
-		proc.Compute(cfg.PartitionFlopPerCol * float64(width))
+		proc.Compute(partitionFlopPerCol * float64(width))
 		boundsWire = mpisim.PackInts(append([]int{nOver}, newBounds...))
 	}
 	wire := mpisim.UnpackInts(proc.Bcast(0, boundsWire))
@@ -474,23 +455,20 @@ func callLoadBalancer(proc *mpisim.Proc, weights []float64, oldBounds []int,
 	for _, tr := range plan {
 		if tr.From == rank {
 			cells := (tr.Hi - tr.Lo) * app.Height
-			proc.Compute(0.5 * cfg.MigrateFlopPerCell * float64(cells))
-			proc.SendOwnedV(tr.To, tagMigrate,
-				mpisim.PackFloat64sInto(proc.AcquireBuf(), weights[tr.Lo-lo:tr.Hi-lo]),
+			proc.Compute(0.5 * migrateFlopPerCell * float64(cells))
+			proc.SendV(tr.To, tagMigrate, mpisim.PackFloat64s(weights[tr.Lo-lo:tr.Hi-lo]),
 				cells*app.WireBytesPerCell())
 		}
 	}
 	for _, tr := range plan {
 		if tr.To == rank {
-			wire := proc.Recv(tr.From, tagMigrate)
 			// Decodes in place: the received columns lie inside newWeights.
-			mpisim.UnpackFloat64sInto(newWeights[tr.Lo-newLo:tr.Lo-newLo], wire)
-			proc.ReleaseBuf(wire)
+			mpisim.UnpackFloat64sInto(newWeights[tr.Lo-newLo:tr.Lo-newLo], proc.Recv(tr.From, tagMigrate))
 			cells := (tr.Hi - tr.Lo) * app.Height
-			proc.Compute(cfg.MigrateFlopPerCell * float64(cells))
+			proc.Compute(migrateFlopPerCell * float64(cells))
 		}
 	}
 	// Every PE rebuilds its local mesh structures over its (new) range.
-	proc.Compute(cfg.RebuildFlopPerCell * float64(newHi-newLo) * float64(app.Height))
+	proc.Compute(rebuildFlopPerCell * float64(newHi-newLo) * float64(app.Height))
 	return newBounds, newWeights, nOverloading
 }

@@ -43,25 +43,6 @@ type SynthConfig struct {
 	// makes one unit of weight cost one millisecond.
 	FlopPerUnit float64
 
-	// ItemBytes is the wire size of one migrated item's state. The
-	// default (0 value) is 4096 bytes.
-	ItemBytes int
-
-	// MigrateFlopPerItem is the compute charged per migrated item for
-	// packing (sender, half) and unpacking (receiver, full), mirroring
-	// the erosion runner's migration accounting. Default: 1e5 FLOP.
-	MigrateFlopPerItem float64
-
-	// RebuildFlopPerItem is the compute every PE pays per local item
-	// after a LB step to rebuild its data structures — the fixed,
-	// alpha-independent component of the LB cost C. Default: 2e5 FLOP.
-	RebuildFlopPerItem float64
-
-	// PartitionFlopPerItem is the compute charged to the main PE per
-	// item at each LB step: the centralized stripe technique scans the
-	// gathered item weights. Default: 64 FLOP.
-	PartitionFlopPerItem float64
-
 	// TriggerFactory builds the per-rank trigger state machine deciding
 	// when the balancer fires. Every rank calls it once; the triggers
 	// must be deterministic (LB decisions are collective). Nil selects
@@ -81,22 +62,31 @@ type SynthConfig struct {
 	Table *WeightTable
 }
 
+// The synthetic runners' LB-step costs, mirroring the erosion runner's
+// accounting per work item.
+const (
+	// itemBytes is the wire size of one migrated item's state.
+	itemBytes = 4096
+
+	// migrateFlopPerItem is the compute charged per migrated item for
+	// packing (sender, half) and unpacking (receiver, full).
+	migrateFlopPerItem = 1e5
+
+	// rebuildFlopPerItem is the compute every PE pays per local item
+	// after a LB step to rebuild its data structures — the fixed,
+	// alpha-independent component of the LB cost C.
+	rebuildFlopPerItem = 2e5
+
+	// partitionFlopPerItem is the compute charged to the main PE per item
+	// at each LB step: the centralized stripe technique scans the
+	// gathered item weights.
+	partitionFlopPerItem = 64
+)
+
 // Normalized returns the config with defaults applied.
 func (c SynthConfig) Normalized() SynthConfig {
 	if c.FlopPerUnit == 0 {
 		c.FlopPerUnit = 1e6
-	}
-	if c.ItemBytes == 0 {
-		c.ItemBytes = 4096
-	}
-	if c.MigrateFlopPerItem == 0 {
-		c.MigrateFlopPerItem = 1e5
-	}
-	if c.RebuildFlopPerItem == 0 {
-		c.RebuildFlopPerItem = 2e5
-	}
-	if c.PartitionFlopPerItem == 0 {
-		c.PartitionFlopPerItem = 64
 	}
 	if c.WarmupLB == 0 {
 		c.WarmupLB = 1
@@ -121,9 +111,8 @@ func (c SynthConfig) Validate() error {
 	if err := c.Cost.Validate(); err != nil {
 		return err
 	}
-	if c.FlopPerUnit < 0 || c.ItemBytes < 0 || c.MigrateFlopPerItem < 0 ||
-		c.RebuildFlopPerItem < 0 || c.PartitionFlopPerItem < 0 {
-		return fmt.Errorf("lb: synth cost knobs must be non-negative")
+	if c.FlopPerUnit < 0 {
+		return fmt.Errorf("lb: synth FlopPerUnit = %g must be non-negative", c.FlopPerUnit)
 	}
 	if c.WarmupLB >= c.Iterations {
 		return fmt.Errorf("lb: synth WarmupLB = %d beyond the run of %d iterations", c.WarmupLB, c.Iterations)
@@ -463,7 +452,7 @@ func rebalanceSynth(proc *mpisim.Proc, oldBounds []int, iter int, cfg SynthConfi
 		newBounds = partition.EnsureMinCols(newBounds, 1)
 		// The centralized partitioning technique runs on the main PE
 		// over the gathered item weights.
-		proc.Compute(cfg.PartitionFlopPerItem * float64(cfg.Items))
+		proc.Compute(partitionFlopPerItem * float64(cfg.Items))
 		boundsWire = mpisim.PackInts(newBounds)
 	}
 	newBounds := mpisim.UnpackInts(proc.Bcast(0, boundsWire))
@@ -476,18 +465,18 @@ func rebalanceSynth(proc *mpisim.Proc, oldBounds []int, iter int, cfg SynthConfi
 	for _, tr := range plan {
 		if tr.From == rank {
 			cnt := tr.Hi - tr.Lo
-			proc.Compute(0.5 * cfg.MigrateFlopPerItem * float64(cnt))
-			proc.SendV(tr.To, tagMigrate, nil, cnt*cfg.ItemBytes)
+			proc.Compute(0.5 * migrateFlopPerItem * float64(cnt))
+			proc.SendV(tr.To, tagMigrate, nil, cnt*itemBytes)
 		}
 	}
 	for _, tr := range plan {
 		if tr.To == rank {
 			proc.Recv(tr.From, tagMigrate)
 			cnt := tr.Hi - tr.Lo
-			proc.Compute(cfg.MigrateFlopPerItem * float64(cnt))
+			proc.Compute(migrateFlopPerItem * float64(cnt))
 		}
 	}
 	// Every PE rebuilds its local structures over its (new) range.
-	proc.Compute(cfg.RebuildFlopPerItem * float64(newBounds[rank+1]-newBounds[rank]))
+	proc.Compute(rebuildFlopPerItem * float64(newBounds[rank+1]-newBounds[rank]))
 	return newBounds
 }

@@ -203,7 +203,7 @@ func (f *synthFast) rebalance(iter int) {
 	targets := cfg.synthTargets(stats.Sum(f.itemW))
 	newBounds := partition.Stripes(f.itemW, targets)
 	newBounds = partition.EnsureMinCols(newBounds, 1)
-	f.compute(0, cfg.PartitionFlopPerItem*float64(cfg.Items))
+	f.compute(0, partitionFlopPerItem*float64(cfg.Items))
 
 	// Broadcast of the packed bounds: 8 bytes per int, P+1 ints.
 	f.bcastClocks(8.0 * float64(len(newBounds)))
@@ -216,8 +216,8 @@ func (f *synthFast) rebalance(iter int) {
 	f.migAvail = f.migAvail[:0]
 	for _, tr := range plan {
 		cnt := tr.Hi - tr.Lo
-		f.compute(tr.From, 0.5*cfg.MigrateFlopPerItem*float64(cnt))
-		f.migAvail = append(f.migAvail, f.clock[tr.From]+f.lat+float64(cnt*cfg.ItemBytes)*f.bt)
+		f.compute(tr.From, 0.5*migrateFlopPerItem*float64(cnt))
+		f.migAvail = append(f.migAvail, f.clock[tr.From]+f.lat+float64(cnt*itemBytes)*f.bt)
 		f.clock[tr.From] += f.lat
 	}
 	for k, tr := range plan {
@@ -226,13 +226,13 @@ func (f *synthFast) rebalance(iter int) {
 			f.clock[r] = f.migAvail[k]
 		}
 		f.clock[r] += f.lat
-		f.compute(r, cfg.MigrateFlopPerItem*float64(tr.Hi-tr.Lo))
+		f.compute(r, migrateFlopPerItem*float64(tr.Hi-tr.Lo))
 	}
 
 	// Every rank rebuilds its local structures over its new range.
 	copy(f.bounds, newBounds)
 	for r := 0; r < size; r++ {
-		f.compute(r, cfg.RebuildFlopPerItem*float64(f.bounds[r+1]-f.bounds[r]))
+		f.compute(r, rebuildFlopPerItem*float64(f.bounds[r+1]-f.bounds[r]))
 	}
 }
 

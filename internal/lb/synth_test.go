@@ -42,10 +42,6 @@ func TestSynthValidate(t *testing.T) {
 		{"nil weight", func(c *SynthConfig) { c.Weight = nil }},
 		{"bad cost model", func(c *SynthConfig) { c.Cost.FLOPS = 0 }},
 		{"negative flop per unit", func(c *SynthConfig) { c.FlopPerUnit = -1 }},
-		{"negative item bytes", func(c *SynthConfig) { c.ItemBytes = -1 }},
-		{"negative migrate flop", func(c *SynthConfig) { c.MigrateFlopPerItem = -1 }},
-		{"negative rebuild flop", func(c *SynthConfig) { c.RebuildFlopPerItem = -1 }},
-		{"negative partition flop", func(c *SynthConfig) { c.PartitionFlopPerItem = -1 }},
 		{"warmup beyond run", func(c *SynthConfig) { c.WarmupLB = 50 }},
 	}
 	if err := base.Validate(); err != nil {
@@ -65,8 +61,7 @@ func TestSynthValidate(t *testing.T) {
 
 func TestSynthNormalizedDefaults(t *testing.T) {
 	c := SynthConfig{}.Normalized()
-	if c.FlopPerUnit != 1e6 || c.ItemBytes != 4096 || c.MigrateFlopPerItem != 1e5 ||
-		c.RebuildFlopPerItem != 2e5 || c.PartitionFlopPerItem != 64 || c.WarmupLB != 1 {
+	if c.FlopPerUnit != 1e6 || c.WarmupLB != 1 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }

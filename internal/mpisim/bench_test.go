@@ -44,22 +44,6 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 }
 
-func BenchmarkBarrier(b *testing.B) {
-	const size = 32
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		err := Run(size, testCost(), func(p *Proc) error {
-			for r := 0; r < 10; r++ {
-				p.Barrier()
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMailboxWakeups measures how often a blocked receiver is woken by
 // a delivery it cannot consume: one rank waits for a specific (src, tag)
 // stream while its mailbox is flooded with unrelated traffic. With a single
@@ -73,11 +57,11 @@ func BenchmarkMailboxWakeups(b *testing.B) {
 	// every noise message so the waiter genuinely re-parks between
 	// deliveries (otherwise a single-core scheduler batches the flood).
 	const noise = 512
-	w := NewWorld(3, testCost())
+	var spurious uint64
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := w.Run(func(p *Proc) error {
+		w := newWorld(3, testCost())
+		err := w.run(func(p *Proc) error {
 			switch p.Rank() {
 			case 0:
 				for n := 0; n < noise; n++ {
@@ -102,11 +86,9 @@ func BenchmarkMailboxWakeups(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	var spurious uint64
-	for _, box := range w.boxes {
-		spurious += box.spurious
+		for _, box := range w.boxes {
+			spurious += box.spurious
+		}
 	}
 	b.ReportMetric(float64(spurious)/float64(b.N), "spurious-wakeups/op")
 }

@@ -36,39 +36,17 @@ func OpMax(dst, src []float64) {
 	}
 }
 
-// Barrier synchronizes all ranks with a dissemination barrier
-// (ceil(log2 P) rounds). After it returns, every rank's clock is at least
-// the pre-barrier clock of every other rank: nobody proceeds until the
-// slowest PE has arrived, which is exactly how a BSP iteration boundary
-// behaves and why iteration time equals the time of the most loaded PE.
-func (p *Proc) Barrier() {
-	size := p.world.size
-	if size == 1 {
-		return
-	}
-	tag := collTagBase + 1
-	for k := 1; k < size; k <<= 1 {
-		dst := (p.rank + k) % size
-		src := (p.rank - k + size) % size
-		p.SendRecv(dst, nil, src, tag)
-		tag++
-	}
-}
-
 // Bcast broadcasts data from root along a binomial tree. Every rank must
 // call it; the root passes the payload, other ranks pass nil and receive the
-// broadcast value as the return.
+// broadcast value as the return. Like Send, it hands the root's buffer over:
+// every rank gets the same backing array and only reads it.
 func (p *Proc) Bcast(root int, data []byte) []byte {
 	size := p.world.size
 	if root < 0 || root >= size {
 		panic(fmt.Sprintf("mpisim: Bcast with invalid root %d", root))
 	}
-	if size == 1 {
-		return append([]byte(nil), data...)
-	}
 	const tag = collTagBase + 2
 	vrank := (p.rank - root + size) % size
-	buf := data
 	// Receive once (non-roots), from the highest bit below vrank.
 	if vrank != 0 {
 		mask := 1
@@ -77,7 +55,7 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 		}
 		srcV := vrank - mask
 		src := (srcV + root) % size
-		buf = p.Recv(src, tag)
+		data = p.Recv(src, tag)
 	}
 	// Forward to children: vrank + mask for masks above own high bit.
 	startMask := 1
@@ -87,17 +65,15 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 	for mask := startMask; vrank+mask < size; mask <<= 1 {
 		dstV := vrank + mask
 		dst := (dstV + root) % size
-		p.Send(dst, tag, buf)
+		p.Send(dst, tag, data)
 	}
-	if p.rank == root {
-		return append([]byte(nil), data...)
-	}
-	return buf
+	return data
 }
 
 // Gather collects every rank's payload at root, indexed by rank. Non-roots
 // return nil. The implementation is linear into the root, modeling the
-// centralized LB technique of the paper. Payloads may have different sizes.
+// centralized LB technique of the paper. Payloads may have different sizes;
+// like Send, it hands them over, the root's own included.
 func (p *Proc) Gather(root int, data []byte) [][]byte {
 	size := p.world.size
 	if root < 0 || root >= size {
@@ -109,7 +85,7 @@ func (p *Proc) Gather(root int, data []byte) [][]byte {
 		return nil
 	}
 	out := make([][]byte, size)
-	out[root] = append([]byte(nil), data...)
+	out[root] = data
 	for r := 0; r < size; r++ {
 		if r == root {
 			continue
@@ -119,23 +95,10 @@ func (p *Proc) Gather(root int, data []byte) [][]byte {
 	return out
 }
 
-// Allgather collects every rank's payload everywhere (gather to rank 0,
-// then broadcast of the concatenation).
-func (p *Proc) Allgather(data []byte) [][]byte {
-	parts := p.Gather(0, data)
-	var packed []byte
-	if p.rank == 0 {
-		packed = packByteSlices(parts)
-	}
-	packed = p.Bcast(0, packed)
-	return unpackByteSlices(packed)
-}
-
 // reduceInPlace is the engine behind AllreduceInPlace: it combines the
-// ranks' vals into vals itself along the binomial tree, using
-// pooled wire buffers and the rank's float scratch so the steady state
-// allocates nothing. It reports whether this rank is the root (and thus
-// holds the result).
+// ranks' vals into vals itself along the binomial tree, decoding partial
+// results into the rank's float scratch. It reports whether this rank is
+// the root (and thus holds the result).
 func (p *Proc) reduceInPlace(root int, vals []float64, op ReduceOp) bool {
 	size := p.world.size
 	const tag = collTagBase + 4
@@ -146,16 +109,14 @@ func (p *Proc) reduceInPlace(root int, vals []float64, op ReduceOp) bool {
 		if vrank&mask != 0 {
 			// Send partial to parent and stop.
 			parent := ((vrank - mask) + root) % size
-			p.SendOwned(parent, tag, PackFloat64sInto(p.AcquireBuf(), vals))
+			p.Send(parent, tag, PackFloat64s(vals))
 			return false
 		}
 		childV := vrank + mask
 		if childV < size {
 			child := (childV + root) % size
-			payload := p.Recv(child, tag)
-			part := UnpackFloat64sInto(p.f64[:0], payload)
+			part := UnpackFloat64sInto(p.f64[:0], p.Recv(child, tag))
 			p.f64 = part[:0]
-			p.ReleaseBuf(payload)
 			if len(part) != len(vals) {
 				panic(fmt.Sprintf("mpisim: Reduce length mismatch: %d vs %d", len(part), len(vals)))
 			}
@@ -165,63 +126,29 @@ func (p *Proc) reduceInPlace(root int, vals []float64, op ReduceOp) bool {
 	return true
 }
 
-// bcastFloat64sInPlace broadcasts root's vals into every rank's vals along
-// the binomial tree of Bcast, forwarding pooled byte buffers instead of
-// allocating per hop. All ranks must pass equal-length slices.
-func (p *Proc) bcastFloat64sInPlace(root int, vals []float64) {
-	size := p.world.size
-	if size == 1 {
+// AllreduceInPlace combines vals across all ranks with op, leaving the
+// result in vals on every rank: a reduce to rank 0, then a Bcast of the
+// packed result. All ranks must pass equal-length slices. The
+// per-iteration max-clock synchronization and total-workload sums of the
+// application run on this.
+func (p *Proc) AllreduceInPlace(vals []float64, op ReduceOp) {
+	var wire []byte
+	if p.reduceInPlace(0, vals, op) {
+		wire = PackFloat64s(vals)
+	}
+	wire = p.Bcast(0, wire)
+	if p.rank == 0 {
 		return
 	}
-	const tag = collTagBase + 2
-	vrank := (p.rank - root + size) % size
-	var wire []byte
-	if vrank == 0 {
-		wire = PackFloat64sInto(p.AcquireBuf(), vals)
-	} else {
-		mask := 1
-		for mask<<1 <= vrank {
-			mask <<= 1
-		}
-		src := ((vrank - mask) + root) % size
-		wire = p.Recv(src, tag)
-		xs := UnpackFloat64sInto(p.f64[:0], wire)
-		p.f64 = xs[:0]
-		if len(xs) != len(vals) {
-			panic(fmt.Sprintf("mpisim: broadcast length mismatch: %d vs %d", len(xs), len(vals)))
-		}
-		copy(vals, xs)
+	if len(wire) != 8*len(vals) {
+		panic(fmt.Sprintf("mpisim: broadcast length mismatch: %d bytes for %d values", len(wire), len(vals)))
 	}
-	startMask := 1
-	for startMask <= vrank {
-		startMask <<= 1
-	}
-	for mask := startMask; vrank+mask < size; mask <<= 1 {
-		dst := ((vrank + mask) + root) % size
-		p.SendOwned(dst, tag, append(p.AcquireBuf(), wire...))
-	}
-	p.ReleaseBuf(wire)
+	UnpackFloat64sInto(vals[:0], wire)
 }
 
-// AllreduceInPlace combines vals across all ranks with op, leaving the
-// result in vals on every rank (reduce to 0, then broadcast). It is the
-// allocation-free form of Allreduce: hot loops call it with a per-rank
-// scratch slice. The cost and the result bits are identical to Allreduce.
-func (p *Proc) AllreduceInPlace(vals []float64, op ReduceOp) {
-	p.reduceInPlace(0, vals, op)
-	p.bcastFloat64sInPlace(0, vals)
-}
-
-// Allreduce combines vals across all ranks with op and returns the result
-// on every rank (reduce to 0, then broadcast). The per-iteration max-clock
-// synchronization and total-workload sums of the application run on this.
-func (p *Proc) Allreduce(vals []float64, op ReduceOp) []float64 {
-	out := append([]float64(nil), vals...)
-	p.AllreduceInPlace(out, op)
-	return out
-}
-
-// AllreduceMax is shorthand for a scalar max-Allreduce.
+// AllreduceMax is shorthand for a scalar max-Allreduce; with the rank's
+// clock as x it is the BSP iteration barrier: no rank proceeds before the
+// slowest has arrived.
 func (p *Proc) AllreduceMax(x float64) float64 {
 	p.s1[0] = x
 	p.AllreduceInPlace(p.s1[:], OpMax)

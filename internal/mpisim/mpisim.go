@@ -20,12 +20,9 @@
 // optimum) are expressed per rank: SetSpeed scales one rank's compute rate
 // relative to the reference FLOPS without touching the network model.
 //
-// Worlds are reusable: mailbox maps, queue slices, and per-rank Procs
-// survive across runs, and AcquireWorld/Release pool them by (size, cost)
-// so sweeping thousands of scenarios does not rebuild the machine each
-// time. Per-rank buffer freelists (AcquireBuf/ReleaseBuf) plus the
-// ownership-transfer SendOwned path let hot loops exchange messages without
-// per-message allocations.
+// There is one message path: a send hands its buffer to the receiver
+// without a copy, and receivers only read payloads, so a broadcast forwards
+// one buffer to all its children. Each run builds its world afresh.
 package mpisim
 
 import (
@@ -147,48 +144,28 @@ func (m *mailbox) take(key msgKey) message {
 	return msg
 }
 
-// reset drops any pending messages and releases their payload references,
-// returning every stream to its empty rewound state.
-func (m *mailbox) reset() {
-	m.mu.Lock()
-	for _, q := range m.queues {
-		for i := q.head; i < len(q.msgs); i++ {
-			q.msgs[i] = message{}
-		}
-		q.head = 0
-		q.msgs = q.msgs[:0]
-	}
-	m.spurious = 0
-	m.mu.Unlock()
+// world is one simulated machine: a set of ranks and their mailboxes.
+type world struct {
+	size  int
+	cost  CostModel
+	boxes []*mailbox
+	procs []Proc
 }
 
-// World is one simulated machine: a set of ranks and their mailboxes. A
-// world is reusable — Run resets the per-rank state, and the mailbox maps,
-// queue slices, and per-rank buffer freelists carry over between runs.
-type World struct {
-	size   int
-	cost   CostModel
-	boxes  []*mailbox
-	procs  []Proc
-	errs   []error
-	failed bool
-}
-
-// NewWorld creates a world of size ranks with the given cost model.
+// newWorld creates a world of size ranks with the given cost model.
 // It panics on invalid arguments; misconfiguration is a programming error.
-func NewWorld(size int, cost CostModel) *World {
+func newWorld(size int, cost CostModel) *world {
 	if size <= 0 {
 		panic("mpisim: world size must be positive")
 	}
 	if err := cost.Validate(); err != nil {
 		panic(err)
 	}
-	w := &World{
+	w := &world{
 		size:  size,
 		cost:  cost,
 		boxes: make([]*mailbox, size),
 		procs: make([]Proc, size),
-		errs:  make([]error, size),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -197,49 +174,6 @@ func NewWorld(size int, cost CostModel) *World {
 		w.procs[i].speed = 1
 	}
 	return w
-}
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// worldPools pools reusable worlds by their (size, cost) shape, so sweep
-// engines running thousands of same-shaped scenarios reuse the mailbox maps
-// and freelists instead of rebuilding them per scenario.
-var worldPools sync.Map // worldShape -> *sync.Pool
-
-type worldShape struct {
-	size int
-	cost CostModel
-}
-
-// AcquireWorld returns a reusable world of the given shape, creating one if
-// the pool is empty. Pair it with Release when the run completed cleanly.
-func AcquireWorld(size int, cost CostModel) *World {
-	if p, ok := worldPools.Load(worldShape{size, cost}); ok {
-		if w, _ := p.(*sync.Pool).Get().(*World); w != nil {
-			return w
-		}
-	}
-	return NewWorld(size, cost)
-}
-
-// Release returns the world to the pool for reuse. Mailboxes are drained
-// first, so a program that left unconsumed messages behind cannot leak them
-// into a later run. A world whose last run failed is discarded instead:
-// its goroutines may have stopped mid-protocol.
-func (w *World) Release() {
-	if w.failed {
-		return
-	}
-	for _, box := range w.boxes {
-		box.reset()
-	}
-	shape := worldShape{w.size, w.cost}
-	p, ok := worldPools.Load(shape)
-	if !ok {
-		p, _ = worldPools.LoadOrStore(shape, &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(w)
 }
 
 // Stats aggregates the per-rank instrumentation counters. They are
@@ -256,23 +190,13 @@ type Stats struct {
 // Proc is the per-rank handle passed to the SPMD body. A Proc must only be
 // used from the goroutine running its rank.
 type Proc struct {
-	world *World
+	world *world
 	rank  int
 	clock float64
 	speed float64 // relative compute speed multiplier; 1 = reference FLOPS
 	stats Stats
-	bufs  [][]byte   // freelist of wire buffers (AcquireBuf/ReleaseBuf)
 	f64   []float64  // scratch for collective partial results
 	s1    [1]float64 // scratch for scalar allreduces
-}
-
-// reset prepares the Proc for a fresh run, keeping its buffer freelist and
-// scratch capacity. The speed returns to the homogeneous default so pooled
-// worlds cannot leak one program's heterogeneity into the next run.
-func (p *Proc) reset() {
-	p.clock = 0
-	p.speed = 1
-	p.stats = Stats{}
 }
 
 // Rank returns this PE's rank in [0, Size).
@@ -286,32 +210,6 @@ func (p *Proc) Clock() float64 { return p.clock }
 
 // Stats returns a snapshot of the instrumentation counters.
 func (p *Proc) Stats() Stats { return p.stats }
-
-// Cost returns the world's cost model.
-func (p *Proc) Cost() CostModel { return p.world.cost }
-
-// AcquireBuf returns an empty buffer from the rank's freelist (nil when the
-// freelist is dry; the append-into codecs grow it as needed). Use it for
-// payloads handed to SendOwned, and return received pooled payloads with
-// ReleaseBuf; steady-state message passing then allocates nothing.
-func (p *Proc) AcquireBuf() []byte {
-	if n := len(p.bufs); n > 0 {
-		b := p.bufs[n-1]
-		p.bufs[n-1] = nil
-		p.bufs = p.bufs[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// ReleaseBuf recycles a buffer into the rank's freelist. The freelist is
-// bounded; beyond that, buffers fall back to the garbage collector.
-func (p *Proc) ReleaseBuf(b []byte) {
-	if cap(b) == 0 || len(p.bufs) >= 64 {
-		return
-	}
-	p.bufs = append(p.bufs, b)
-}
 
 // SetSpeed fixes this rank's relative compute speed: subsequent Compute
 // calls advance the clock by flops/(FLOPS*speed) seconds. The default is 1
@@ -346,10 +244,11 @@ func (p *Proc) Elapse(dt float64) {
 	p.clock += dt
 }
 
-// Send delivers data to dst under tag. The payload is copied, so the caller
-// may reuse its buffer. Sends are buffered and never block. The sender pays
-// one latency of CPU overhead; the data becomes available at the receiver
-// after the full latency plus the serialization time.
+// Send delivers data to dst under tag. The buffer is handed to the
+// receiver without a copy, so the caller must not modify it afterwards.
+// Sends are buffered and never block. The sender pays one latency of CPU
+// overhead; the data becomes available at the receiver after the full
+// latency plus the serialization time.
 func (p *Proc) Send(dst, tag int, data []byte) {
 	p.SendV(dst, tag, data, len(data))
 }
@@ -361,26 +260,6 @@ func (p *Proc) Send(dst, tag int, data []byte) {
 // state), so communication costs reflect the modeled system rather than
 // the simulation's encoding.
 func (p *Proc) SendV(dst, tag int, data []byte, virtualBytes int) {
-	p.deliver(dst, tag, append([]byte(nil), data...), virtualBytes)
-}
-
-// SendOwned is Send without the defensive copy: ownership of data transfers
-// to the receiver, which gets the very same backing array from Recv (and may
-// recycle it with ReleaseBuf). The caller must not touch data afterwards.
-// Cost semantics are identical to Send.
-func (p *Proc) SendOwned(dst, tag int, data []byte) {
-	p.deliver(dst, tag, data, len(data))
-}
-
-// SendOwnedV is SendOwned with an explicit virtual wire size, the
-// ownership-transfer counterpart of SendV.
-func (p *Proc) SendOwnedV(dst, tag int, data []byte, virtualBytes int) {
-	p.deliver(dst, tag, data, virtualBytes)
-}
-
-// deliver implements the shared send path: charge the cost model and hand
-// payload (already owned by the message) to the destination mailbox.
-func (p *Proc) deliver(dst, tag int, payload []byte, virtualBytes int) {
 	if dst < 0 || dst >= p.world.size {
 		panic(fmt.Sprintf("mpisim: rank %d sending to invalid rank %d", p.rank, dst))
 	}
@@ -395,15 +274,14 @@ func (p *Proc) deliver(dst, tag int, payload []byte, virtualBytes int) {
 	p.stats.BytesSent += int64(virtualBytes)
 	p.world.boxes[dst].put(
 		msgKey{src: p.rank, tag: tag},
-		message{payload: payload, availAt: start + cost.Latency + float64(virtualBytes)*cost.ByteTime},
+		message{payload: data, availAt: start + cost.Latency + float64(virtualBytes)*cost.ByteTime},
 	)
 }
 
 // Recv blocks until a message from src with the given tag is available and
-// returns its payload. The receiver waits (idle virtual time) if the data
-// has not arrived yet, then pays one latency of CPU overhead. The payload is
-// owned by the receiver; if it came from a pooled SendOwned buffer it may be
-// recycled with ReleaseBuf once decoded.
+// returns its payload, the sender's buffer, which the receiver only reads.
+// The receiver waits (idle virtual time) if the data has not arrived yet,
+// then pays one latency of CPU overhead.
 func (p *Proc) Recv(src, tag int) []byte {
 	if src < 0 || src >= p.world.size {
 		panic(fmt.Sprintf("mpisim: rank %d receiving from invalid rank %d", p.rank, src))
@@ -419,90 +297,46 @@ func (p *Proc) Recv(src, tag int) []byte {
 	return msg.payload
 }
 
-// SendRecv sends to dst and receives from src with the same tag, the
-// canonical halo-exchange step. Because sends are buffered, the combined
-// operation cannot deadlock even when all ranks call it simultaneously.
-func (p *Proc) SendRecv(dst int, sendData []byte, src, tag int) []byte {
-	p.Send(dst, tag, sendData)
-	return p.Recv(src, tag)
-}
-
-// SendRecvOwned is SendRecv on the ownership-transfer path: sendData is
-// handed over without a copy, and the returned payload is owned by the
-// caller (recyclable with ReleaseBuf).
-func (p *Proc) SendRecvOwned(dst int, sendData []byte, src, tag int) []byte {
-	p.SendOwned(dst, tag, sendData)
-	return p.Recv(src, tag)
-}
-
-// Run executes body as rank goroutines 0..size-1 and waits for all of them.
-// It returns the combined errors of all ranks; a panicking rank is reported
-// as an error carrying its stack trace. On a non-nil return the world must
-// be discarded (mailboxes may hold orphaned messages).
+// Run executes body as rank goroutines 0..size-1 on a fresh world and waits
+// for all of them. It returns the combined errors of all ranks; a panicking
+// rank is reported as an error carrying its stack trace.
 func Run(size int, cost CostModel, body func(p *Proc) error) error {
-	w := NewWorld(size, cost)
-	return w.Run(body)
-}
-
-// Run executes one SPMD program over this world's ranks, reusing the
-// per-rank Procs and mailboxes of any earlier run.
-func (w *World) Run(body func(p *Proc) error) error {
-	w.failed = false
-	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
-		w.errs[r] = nil
-		w.procs[r].reset()
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					w.errs[rank] = fmt.Errorf("mpisim: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
-				}
-			}()
-			w.errs[rank] = body(&w.procs[rank])
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range w.errs {
-		if err != nil {
-			w.failed = true
-			return joinErrors(w.errs)
-		}
-	}
-	return nil
+	return newWorld(size, cost).run(body)
 }
 
 // RunCollect is like Run but also returns the final per-rank clocks and
 // stats, which experiment drivers use to compute total wall time
 // (max of clocks) and PE usage.
 func RunCollect(size int, cost CostModel, body func(p *Proc) error) ([]float64, []Stats, error) {
-	w := NewWorld(size, cost)
-	return runCollect(w, body)
-}
-
-// RunCollectPooled is RunCollect over a pooled reusable world: the sweep
-// engines' entry point. The world returns to the pool after a clean run, so
-// back-to-back scenarios of the same shape reuse mailboxes, queues, and
-// per-rank buffer freelists instead of rebuilding them.
-func RunCollectPooled(size int, cost CostModel, body func(p *Proc) error) ([]float64, []Stats, error) {
-	w := AcquireWorld(size, cost)
-	clocks, allStats, err := runCollect(w, body)
-	w.Release()
+	w := newWorld(size, cost)
+	err := w.run(body)
+	clocks := make([]float64, size)
+	allStats := make([]Stats, size)
+	for r := range w.procs {
+		clocks[r] = w.procs[r].clock
+		allStats[r] = w.procs[r].stats
+	}
 	return clocks, allStats, err
 }
 
-func runCollect(w *World, body func(p *Proc) error) ([]float64, []Stats, error) {
-	clocks := make([]float64, w.size)
-	allStats := make([]Stats, w.size)
-	err := w.Run(func(p *Proc) error {
-		defer func() {
-			clocks[p.rank] = p.clock
-			allStats[p.rank] = p.stats
-		}()
-		return body(p)
-	})
-	return clocks, allStats, err
+// run executes one SPMD program over the world's ranks.
+func (w *world) run(body func(p *Proc) error) error {
+	errs := make([]error, w.size)
+	var wg sync.WaitGroup
+	for r := 0; r < w.size; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer func() {
+				if rec := recover(); rec != nil {
+					errs[rank] = fmt.Errorf("mpisim: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
+				}
+			}()
+			errs[rank] = body(&w.procs[rank])
+		}(r)
+	}
+	wg.Wait()
+	return joinErrors(errs)
 }
 
 // joinErrors combines the per-rank failures: every failing rank's

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -24,25 +25,6 @@ func TestSendRecvPayload(t *testing.T) {
 		got := p.Recv(0, 7)
 		if string(got) != "hello" {
 			return fmt.Errorf("payload = %q", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendCopiesPayload(t *testing.T) {
-	err := Run(2, testCost(), func(p *Proc) error {
-		if p.Rank() == 0 {
-			buf := []byte{1, 2, 3}
-			p.Send(1, 0, buf)
-			buf[0] = 99 // must not affect the message
-			return nil
-		}
-		got := p.Recv(0, 0)
-		if got[0] != 1 {
-			return fmt.Errorf("payload aliased sender buffer: %v", got)
 		}
 		return nil
 	})
@@ -221,7 +203,8 @@ func TestSendRecvRingNoDeadlock(t *testing.T) {
 	err := Run(size, testCost(), func(p *Proc) error {
 		right := (p.Rank() + 1) % size
 		left := (p.Rank() - 1 + size) % size
-		got := p.SendRecv(right, []byte{byte(p.Rank())}, left, 9)
+		p.Send(right, 9, []byte{byte(p.Rank())})
+		got := p.Recv(left, 9)
 		if got[0] != byte(left) {
 			return fmt.Errorf("ring exchange wrong: got %d want %d", got[0], left)
 		}
@@ -238,7 +221,7 @@ func TestDeterministicClocks(t *testing.T) {
 			rng := stats.NewRNG(uint64(p.Rank()))
 			for i := 0; i < 20; i++ {
 				p.Compute(rng.Uniform(1e3, 1e6))
-				p.Barrier()
+				p.AllreduceMax(p.Clock())
 			}
 			x := p.AllreduceSum(float64(p.Rank()))
 			p.Compute(x * 100)
@@ -277,10 +260,10 @@ func TestElapse(t *testing.T) {
 func TestWorldSizeValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewWorld(0) should panic")
+			t.Error("a world of 0 ranks should panic")
 		}
 	}()
-	NewWorld(0, testCost())
+	Run(0, testCost(), func(*Proc) error { return nil })
 }
 
 func TestCostModelValidate(t *testing.T) {
@@ -352,19 +335,19 @@ func TestPayloadIntegrityProperty(t *testing.T) {
 	}
 }
 
-func TestSendOwnedTransfersBackingArray(t *testing.T) {
+func TestSendHandsBufferOver(t *testing.T) {
 	// A self-exchange keeps sender and receiver on one goroutine, so the
 	// identity of the backing array can be checked without a data race.
 	err := Run(1, testCost(), func(p *Proc) error {
 		buf := []byte{1, 2, 3}
-		p.SendOwned(0, 4, buf)
+		p.Send(0, 4, buf)
 		got := p.Recv(0, 4)
 		if &got[0] != &buf[0] {
-			return fmt.Errorf("SendOwned copied the payload")
+			return fmt.Errorf("Send copied the payload")
 		}
-		p.SendOwnedV(0, 5, buf, 1<<20)
+		p.SendV(0, 5, buf, 1<<20)
 		if got := p.Stats().BytesSent; got != 3+1<<20 {
-			return fmt.Errorf("SendOwnedV charged %d bytes", got)
+			return fmt.Errorf("SendV charged %d bytes", got)
 		}
 		p.Recv(0, 5)
 		return nil
@@ -374,126 +357,39 @@ func TestSendOwnedTransfersBackingArray(t *testing.T) {
 	}
 }
 
-func TestSendRecvOwnedRing(t *testing.T) {
-	const size = 8
-	err := Run(size, testCost(), func(p *Proc) error {
-		right := (p.Rank() + 1) % size
-		left := (p.Rank() - 1 + size) % size
-		buf := append(p.AcquireBuf(), byte(p.Rank()))
-		got := p.SendRecvOwned(right, buf, left, 9)
-		if got[0] != byte(left) {
-			return fmt.Errorf("ring exchange wrong: got %d want %d", got[0], left)
+func TestSetSpeedScalesCompute(t *testing.T) {
+	clocks, statsAll, err := RunCollect(2, testCost(), func(p *Proc) error {
+		if p.Rank() == 1 {
+			p.SetSpeed(4)
 		}
-		p.ReleaseBuf(got)
+		p.Compute(1e6) // 1 ms at the reference 1e9 FLOPS
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestAcquireReleaseBuf(t *testing.T) {
-	p := &Proc{}
-	if got := p.AcquireBuf(); got != nil {
-		t.Fatalf("empty freelist returned %v", got)
+	if clocks[0] != 1e-3 || clocks[1] != 0.25e-3 {
+		t.Errorf("clocks = %v, want [0.001 0.00025]", clocks)
 	}
-	b := make([]byte, 3, 32)
-	p.ReleaseBuf(b)
-	got := p.AcquireBuf()
-	if len(got) != 0 || cap(got) != 32 {
-		t.Fatalf("recycled buffer has len %d cap %d", len(got), cap(got))
+	if statsAll[1].ComputeTime != 0.25e-3 {
+		t.Errorf("fast rank compute time = %v, want 0.00025", statsAll[1].ComputeTime)
 	}
-	p.ReleaseBuf(nil) // zero-capacity buffers are not worth keeping
-	if len(p.bufs) != 0 {
-		t.Fatal("nil buffer entered the freelist")
-	}
-	for i := 0; i < 100; i++ {
-		p.ReleaseBuf(make([]byte, 1))
-	}
-	if len(p.bufs) > 64 {
-		t.Fatalf("freelist unbounded: %d entries", len(p.bufs))
-	}
-}
-
-func TestWorldReuseIsDeterministic(t *testing.T) {
-	// Two runs over the same world must produce identical clocks: Run must
-	// fully reset per-rank state.
-	w := NewWorld(4, testCost())
-	body := func(p *Proc) error {
-		p.Compute(float64(p.Rank()+1) * 1e6)
-		p.Barrier()
-		p.AllreduceSum(float64(p.Rank()))
-		return nil
-	}
-	run := func() []float64 {
-		clocks := make([]float64, 4)
-		err := w.Run(func(p *Proc) error {
-			defer func() { clocks[p.Rank()] = p.Clock() }()
-			return body(p)
+	for _, speed := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		err := Run(1, testCost(), func(p *Proc) error {
+			p.SetSpeed(speed)
+			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		if err == nil || !strings.Contains(err.Error(), "invalid speed") {
+			t.Errorf("SetSpeed(%v) should panic, got %v", speed, err)
 		}
-		return clocks
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d clock differs across world reuse: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestRunCollectPooledMatchesRunCollect(t *testing.T) {
-	body := func(p *Proc) error {
-		p.Compute(float64(p.Rank()+1) * 1e5)
-		p.AllreduceMax(p.Clock())
-		// Leave an unconsumed message behind: Release must drain it so a
-		// pooled world cannot deliver stale state to a later scenario.
-		if p.Rank() == 0 {
-			p.Send(1, 7, []byte{42})
-		}
-		return nil
-	}
-	wantClocks, wantStats, err := RunCollect(3, testCost(), body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		clocks, statsAll, err := RunCollectPooled(3, testCost(), body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range clocks {
-			if clocks[r] != wantClocks[r] || statsAll[r] != wantStats[r] {
-				t.Fatalf("pooled run %d diverged at rank %d: %v vs %v", i, r, clocks[r], wantClocks[r])
-			}
-		}
-	}
-}
-
-func TestReleaseDropsFailedWorld(t *testing.T) {
-	w := AcquireWorld(2, testCost())
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	w.Release()
-	if w2 := AcquireWorld(2, testCost()); w2 == w {
-		t.Fatal("failed world re-entered the pool")
 	}
 }
 
 func TestNoSpuriousWakeups(t *testing.T) {
 	// Cross-stream traffic with forced interleaving (see the wakeup
 	// benchmark) must never wake a receiver that cannot consume.
-	w := NewWorld(3, testCost())
-	err := w.Run(func(p *Proc) error {
+	w := newWorld(3, testCost())
+	err := w.run(func(p *Proc) error {
 		switch p.Rank() {
 		case 0:
 			for n := 0; n < 64; n++ {

@@ -7,23 +7,16 @@ import (
 
 // Wire encoding helpers. Payloads travel as []byte so the cost model can
 // charge for their real size; these helpers give the fixed little-endian
-// encodings used across the repository. Each codec has an allocating form
-// and an append-into form (suffix -Into) that extends a caller-provided
-// buffer — hot loops pair the latter with per-rank scratch or pooled
-// buffers (Proc.AcquireBuf) for allocation-free message passing.
+// encodings used across the repository. UnpackFloat64sInto also decodes
+// into a caller-provided slice, for receivers that place values in place.
 
 // PackFloat64s encodes xs as little-endian IEEE 754 doubles.
 func PackFloat64s(xs []float64) []byte {
-	return PackFloat64sInto(make([]byte, 0, 8*len(xs)), xs)
-}
-
-// PackFloat64sInto appends the encoding of PackFloat64s to dst and returns
-// the extended buffer.
-func PackFloat64sInto(dst []byte, xs []float64) []byte {
+	b := make([]byte, 0, 8*len(xs))
 	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	return dst
+	return b
 }
 
 // UnpackFloat64s decodes the encoding of PackFloat64s. Trailing partial
@@ -47,80 +40,22 @@ func UnpackFloat64sInto(dst []float64, b []byte) []float64 {
 
 // PackInts encodes xs as little-endian int64s.
 func PackInts(xs []int) []byte {
-	return PackIntsInto(make([]byte, 0, 8*len(xs)), xs)
-}
-
-// PackIntsInto appends the encoding of PackInts to dst and returns the
-// extended buffer.
-func PackIntsInto(dst []byte, xs []int) []byte {
+	b := make([]byte, 0, 8*len(xs))
 	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
-	}
-	return dst
-}
-
-// UnpackInts decodes the encoding of PackInts.
-func UnpackInts(b []byte) []int {
-	return UnpackIntsInto(make([]int, 0, len(b)/8), b)
-}
-
-// UnpackIntsInto appends the decoded values to dst and returns the extended
-// slice; it panics on trailing partial words like UnpackInts.
-func UnpackIntsInto(dst []int, b []byte) []int {
-	if len(b)%8 != 0 {
-		panic("mpisim: int payload length not a multiple of 8")
-	}
-	for ; len(b) >= 8; b = b[8:] {
-		dst = append(dst, int(int64(binary.LittleEndian.Uint64(b))))
-	}
-	return dst
-}
-
-// packByteSlices frames a slice of byte slices as
-// [count][len0][bytes0][len1][bytes1]... with uint32 headers.
-func packByteSlices(parts [][]byte) []byte {
-	total := 4
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	b := make([]byte, 0, total)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(parts)))
-	b = append(b, hdr[:]...)
-	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		b = append(b, hdr[:]...)
-		b = append(b, p...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
 	}
 	return b
 }
 
-// unpackByteSlices reverses packByteSlices.
-func unpackByteSlices(b []byte) [][]byte {
-	if len(b) < 4 {
-		panic("mpisim: framed payload too short")
+// UnpackInts decodes the encoding of PackInts. Trailing partial words are a
+// protocol error and panic.
+func UnpackInts(b []byte) []int {
+	if len(b)%8 != 0 {
+		panic("mpisim: int payload length not a multiple of 8")
 	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Every framed part costs at least its 4-byte length header, so the
-	// remaining payload bounds the plausible count. Checking before
-	// allocating keeps a corrupt count header from demanding an enormous
-	// slice just to panic on the first truncated part.
-	if uint64(n) > uint64(len(b)/4) {
-		panic("mpisim: framed payload truncated header")
+	xs := make([]int, 0, len(b)/8)
+	for ; len(b) >= 8; b = b[8:] {
+		xs = append(xs, int(int64(binary.LittleEndian.Uint64(b))))
 	}
-	out := make([][]byte, n)
-	for i := range out {
-		if len(b) < 4 {
-			panic("mpisim: framed payload truncated header")
-		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			panic("mpisim: framed payload truncated body")
-		}
-		out[i] = append([]byte(nil), b[:l]...)
-		b = b[l:]
-	}
-	return out
+	return xs
 }

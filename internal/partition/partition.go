@@ -203,7 +203,8 @@ func Imbalance(weights []float64) float64 {
 	return max/mean - 1
 }
 
-// OwnerOf returns the stripe owning column col under bounds.
+// OwnerOf returns the stripe owning column col under bounds. The tests use
+// it as the per-column oracle of Transfers.
 func OwnerOf(bounds []int, col int) int {
 	if col < 0 || col >= bounds[len(bounds)-1] {
 		panic(fmt.Sprintf("partition: column %d outside domain %v", col, bounds))
@@ -236,22 +237,25 @@ type Transfer struct {
 // Transfers computes the migration plan between two partitions of the same
 // domain: every column whose owner changes appears in exactly one transfer,
 // and transfers are maximal contiguous runs sorted by column. Both
-// boundary slices must cover the same number of columns.
+// boundary slices must cover the same number of columns. The plan is a
+// merge of the two boundary lists, O(P) with one cursor per list: the run
+// starting at col ends where the first of its two owning stripes ends.
 func Transfers(oldBounds, newBounds []int) []Transfer {
 	cols := oldBounds[len(oldBounds)-1]
 	if newBounds[len(newBounds)-1] != cols {
 		panic("partition: transfer plans need identical domains")
 	}
 	var plan []Transfer
-	col := 0
-	for col < cols {
-		from := OwnerOf(oldBounds, col)
-		to := OwnerOf(newBounds, col)
-		// Extend the run while ownership is stable.
-		end := col + 1
-		for end < cols && OwnerOf(oldBounds, end) == from && OwnerOf(newBounds, end) == to {
-			end++
+	from, to := 0, 0
+	for col := 0; col < cols; {
+		// Advance each cursor to the stripe owning col, past empty ones.
+		for oldBounds[from+1] <= col {
+			from++
 		}
+		for newBounds[to+1] <= col {
+			to++
+		}
+		end := min(oldBounds[from+1], newBounds[to+1])
 		if from != to {
 			plan = append(plan, Transfer{From: from, To: to, Lo: col, Hi: end})
 		}

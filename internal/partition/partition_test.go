@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +288,54 @@ func TestTransfersCoverEveryMovedColumnOnce(t *testing.T) {
 				t.Fatalf("static column %d appears in plan", c)
 			}
 		}
+	}
+}
+
+// randomBounds draws p stripes over cols columns with uniformly placed
+// cuts, so repeated cuts leave empty stripes.
+func randomBounds(rng *stats.RNG, cols, p int) []int {
+	b := make([]int, p+1)
+	b[p] = cols
+	for i := 1; i < p; i++ {
+		b[i] = rng.Intn(cols + 1)
+	}
+	sort.Ints(b)
+	return b
+}
+
+// referenceTransfers is the per-column oracle of Transfers: each column's
+// two owners by OwnerOf, merged into maximal runs of one (From, To) pair.
+func referenceTransfers(oldB, newB []int) []Transfer {
+	var plan []Transfer
+	for c := 0; c < oldB[len(oldB)-1]; c++ {
+		from, to := OwnerOf(oldB, c), OwnerOf(newB, c)
+		if from == to {
+			continue
+		}
+		if n := len(plan); n > 0 && plan[n-1].Hi == c && plan[n-1].From == from && plan[n-1].To == to {
+			plan[n-1].Hi++
+		} else {
+			plan = append(plan, Transfer{From: from, To: to, Lo: c, Hi: c + 1})
+		}
+	}
+	return plan
+}
+
+// Property: Transfers equals the per-column reference plan on random
+// boundary pairs, with empty stripes, P = 1 and identical bounds among them.
+func TestTransfersMatchPerColumnReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		cols, p := rng.Intn(24), 1+rng.Intn(8)
+		oldB := randomBounds(rng, cols, p)
+		newB := oldB
+		if rng.Intn(4) != 0 {
+			newB = randomBounds(rng, cols, p)
+		}
+		return slices.Equal(Transfers(oldB, newB), referenceTransfers(oldB, newB))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

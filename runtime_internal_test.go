@@ -3,8 +3,12 @@ package ulba
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
+
+	"ulba/internal/lb"
+	"ulba/internal/mpisim"
 )
 
 // A waiter that gives up on a memoized run gets its context error, and the
@@ -72,5 +76,29 @@ func TestAssessmentColumnsShareMaterialization(t *testing.T) {
 	}
 	if a.cells[0].grid.table == nil {
 		t.Fatal("running the assessment did not table the column")
+	}
+}
+
+// estimateLBCost holds copies of two of internal/lb's LB-step constants. On
+// one rank and a free network a LB step is only the partition scan and the
+// rebuild, so the estimate must equal the measured step.
+func TestEstimateLBCostMatchesSingleRankStep(t *testing.T) {
+	cfg := RuntimeConfig{
+		P:          1,
+		Items:      64,
+		Iterations: 3,
+		Weight:     func(int, int) float64 { return 1 },
+		Cost:       mpisim.CostModel{FLOPS: 1e9},
+	}.Normalized()
+	res, err := lb.RunSynth(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LBCount() == 0 {
+		t.Fatal("the warmup LB step did not run")
+	}
+	want := estimateLBCost(cfg)
+	if got := res.LBCosts[0]; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("measured LB step %g s, estimate %g s", got, want)
 	}
 }

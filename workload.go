@@ -41,8 +41,8 @@ type Workload interface {
 type ModeledWorkload interface {
 	Workload
 	// Model expresses the workload as Table I parameters for the given
-	// bound scenario configuration (PE count, iterations, cost model,
-	// and the LB cost knobs the estimate of C derives from).
+	// bound scenario configuration (PE count, items, iterations and the
+	// cost model the estimate of C derives from).
 	Model(cfg RuntimeConfig) (ModelParams, error)
 }
 
@@ -202,8 +202,8 @@ func (w LinearWorkload) Instantiate(p int) (int, func(int, int) float64, error) 
 
 // Model expresses the linear drift in Table I terms: N hot PEs, a = the
 // even per-PE growth, m = the extra hot-PE growth, and C estimated from the
-// configured LB cost knobs (gather latency and bytes into the main PE, the
-// central partition scan, and the per-PE rebuild).
+// LB step's costs (gather latency and bytes into the main PE, the central
+// partition scan, and the per-PE rebuild).
 func (w LinearWorkload) Model(cfg RuntimeConfig) (ModelParams, error) {
 	if _, _, err := w.Instantiate(cfg.P); err != nil {
 		return ModelParams{}, err
@@ -239,13 +239,22 @@ func (w LinearWorkload) Model(cfg RuntimeConfig) (ModelParams, error) {
 	return mp, nil
 }
 
+// The FLOPs the synthetic runners charge per item at a LB step for the main
+// PE's partition scan and for every PE's rebuild: internal/lb's
+// partitionFlopPerItem and rebuildFlopPerItem.
+// TestEstimateLBCostMatchesSingleRankStep ties the two copies together.
+const (
+	partitionFlopPerItem = 64
+	rebuildFlopPerItem   = 2e5
+)
+
 // estimateLBCost predicts the measured cost of one synthetic LB step in
-// seconds from the configured cost knobs: the linear gather into the main
-// PE, the central partition scan, and the per-PE rebuild. Migration is
-// workload-dependent and left out, so the estimate is a slight lower bound.
+// seconds: the linear gather into the main PE, the central partition scan,
+// and the per-PE rebuild. Migration is workload-dependent and left out, so
+// the estimate is a slight lower bound.
 func estimateLBCost(cfg RuntimeConfig) float64 {
 	perPE := float64(cfg.Items) / float64(cfg.P)
-	flop := cfg.PartitionFlopPerItem*float64(cfg.Items) + cfg.RebuildFlopPerItem*perPE
+	flop := partitionFlopPerItem*float64(cfg.Items) + rebuildFlopPerItem*perPE
 	comm := float64(2*cfg.P)*cfg.Cost.Latency + 8*float64(cfg.Items)*cfg.Cost.ByteTime
 	return flop/cfg.Cost.FLOPS + comm
 }
