@@ -71,8 +71,8 @@ type AssessmentScenario struct {
 
 // Assessment scores a set of LB criteria over a shared scenario set. Build
 // it with NewAssessment; the cell grid is criteria-major (cell index =
-// criterion*Scenarios() + scenario), and every result surface — Run,
-// Stream, StreamCells — reports cells in that indexing.
+// criterion*Scenarios() + scenario), and both result surfaces — Run and
+// StreamCells — report cells in that indexing.
 type Assessment struct {
 	criteria  []Criterion
 	scenarios int
@@ -195,15 +195,10 @@ func (a *Assessment) Run(ctx context.Context) (AssessmentSummary, []RuntimeResul
 	return a.Summarize(results), results, nil
 }
 
-// Stream runs every cell and delivers per-cell results in completion order
-// (Index is the cell index). Delivery after cancellation is best-effort.
-func (a *Assessment) Stream(ctx context.Context) <-chan RuntimeSweepResult {
-	return a.sweep.Stream(ctx, a.cells)
-}
-
-// StreamCells runs exactly the listed cells — the resumable-runner
-// primitive: a checkpointed job streams only its missing cells. The
-// delivered Index is the position in indices, not the cell index.
+// StreamCells runs exactly the listed cells and delivers their results in
+// completion order — the resumable-runner primitive: a checkpointed job
+// streams only its missing cells. The delivered Index is the position in
+// indices, not the cell index. Delivery after cancellation is best-effort.
 func (a *Assessment) StreamCells(ctx context.Context, indices []int) <-chan RuntimeSweepResult {
 	sub := make([]*RuntimeExperiment, len(indices))
 	for i, idx := range indices {
@@ -244,7 +239,7 @@ type AssessmentSummary struct {
 }
 
 // Summarize aggregates cell-ordered results (as returned by Run, or
-// collected from Stream) into per-criterion scores. It is a pure function
+// collected from StreamCells) into per-criterion scores. It is a pure function
 // of the results, so a resumed job summarizing restored cells reports
 // exactly what an uninterrupted run would.
 func (a *Assessment) Summarize(results []RuntimeResult) AssessmentSummary {

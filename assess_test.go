@@ -92,7 +92,11 @@ func TestAssessmentCellsMatchIndependentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := cancelled.Stream(cctx)
+		every := make([]int, len(want))
+		for i := range every {
+			every[i] = i
+		}
+		stream := cancelled.StreamCells(cctx, every)
 		<-stream
 		cancel()
 		for range stream {

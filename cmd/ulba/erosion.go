@@ -8,7 +8,9 @@ import (
 	"os"
 
 	"ulba"
+	"ulba/internal/erosion"
 	"ulba/internal/experiments"
+	"ulba/internal/lb"
 	"ulba/internal/trace"
 )
 
@@ -98,7 +100,8 @@ func erosionCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 
 		// With -compare, one Compare call yields both runs; otherwise run
 		// the configured method alone. A -method none comparison needs its
-		// own baseline experiment, since the baseline must keep balancing.
+		// own baseline experiment, since the baseline must keep balancing;
+		// both runs still replay one trace of the shared physics.
 		var res ulba.RunResult
 		var cmp ulba.MethodComparison
 		switch {
@@ -107,8 +110,11 @@ func erosionCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			if base, err = build(ulba.Standard, trig); err != nil {
 				return err
 			}
-			if cmp.Baseline, err = base.Run(ctx); err == nil {
-				cmp.Result, err = exp.Run(ctx)
+			var tr *erosion.Trace
+			if tr, err = erosion.NewTrace(exp.Config().App, *iters); err == nil {
+				if cmp.Baseline, err = lb.Run(base.Config(), tr); err == nil {
+					cmp.Result, err = lb.Run(exp.Config(), tr)
+				}
 			}
 			res = cmp.Result
 		case *compare:

@@ -1,7 +1,9 @@
 package ulba_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"reflect"
 	"regexp"
@@ -119,6 +121,61 @@ func TestAPIRegistriesListingMatchesCode(t *testing.T) {
 		if !reflect.DeepEqual(documented[kind], registered) {
 			t.Errorf("API.md registries example lists %s %v, registry has %v", kind, documented[kind], registered)
 		}
+	}
+}
+
+// TestAPIRequestBodiesDecode pins the request examples of API.md to the
+// decoders: every `curl ... localhost:8383/v1/... -d '...'` body must decode
+// under the engine its route names, and a job submission's request must
+// decode under the engine its type names, so an example cannot carry a
+// field the strict decoders reject.
+func TestAPIRequestBodiesDecode(t *testing.T) {
+	data, err := os.ReadFile("API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := string(data)
+	example := regexp.MustCompile(`curl -\S+ localhost:8383(/v1/[a-z-]+) -d '([^']*)'`)
+	matches := example.FindAllStringSubmatch(api, -1)
+	if withBody := regexp.MustCompile(`(?m)^curl .* -d `).FindAllString(api, -1); len(withBody) != len(matches) {
+		t.Fatalf("API.md has %d curl examples with a body, the pattern matched %d", len(withBody), len(matches))
+	}
+	byPath := map[string]*engine.Descriptor{}
+	for _, d := range engine.Engines() {
+		byPath[d.Endpoint] = d
+	}
+	covered := map[string]bool{}
+	for _, m := range matches {
+		path, body := m[1], []byte(m[2])
+		covered[path] = true
+		d, ok := byPath[path]
+		if path == "/v1/jobs" {
+			var sub struct {
+				Type    string          `json:"type"`
+				Request json.RawMessage `json:"request"`
+			}
+			if err := engine.DecodeStrict(bytes.NewReader(body), &sub); err != nil {
+				t.Errorf("API.md job submission %s: %v", body, err)
+				continue
+			}
+			d, ok = engine.ByType(sub.Type)
+			path, body = path+" ("+sub.Type+")", sub.Request
+		}
+		if !ok {
+			t.Errorf("API.md posts to %s, which no engine serves", path)
+			continue
+		}
+		if _, err := d.Decode(body); err != nil {
+			t.Errorf("API.md %s body %s: %v", path, body, err)
+		}
+	}
+	for _, d := range engine.Engines() {
+		if !covered[d.Endpoint] {
+			t.Errorf("API.md has no request example for %s", d.Endpoint)
+		}
+	}
+	if !covered["/v1/jobs"] {
+		t.Error("API.md has no job submission example")
 	}
 }
 

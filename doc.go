@@ -21,25 +21,26 @@
 //     model (Eqs. 1-12): SigmaPlusPlanner (the paper's proposal, registry
 //     name "sigma+"), MenonPlanner ("menon"), PeriodicPlanner ("periodic"),
 //     AnnealPlanner ("anneal", the heuristic baseline of Fig. 2).
-//     RegisterPlanner / NewPlanner / PlannerNames select planners by name.
+//     NewPlanner / PlannerNames select planners by name.
 //   - Trigger — when to balance, decided at runtime from the measured
 //     iteration times: DegradationTrigger (the adaptive rule of Zhai et
 //     al., the default; "degradation"), MenonTrigger ("menon"),
 //     PeriodicTrigger ("periodic"), NeverTrigger ("never"), and
 //     ScheduleTrigger ("schedule"), which replays a planned schedule on
-//     the simulated cluster. RegisterTrigger / NewTrigger / TriggerNames
-//     mirror the planner registry.
+//     the simulated cluster. NewTrigger / TriggerNames mirror the planner
+//     registry.
 //   - Workload — what the runtime scenario engine executes: a registry of
 //     synthetic load dynamics ("stationary", "linear" and "exponential"
 //     drift, "bursty", heavy-tailed "outlier" WIR, recorded-"trace"
 //     replay) whose pure weight functions make every policy comparison
-//     noise-free. RegisterWorkload / NewWorkload / WorkloadNames complete
-//     the registry trio.
+//     noise-free. NewWorkload / WorkloadNames complete the registry trio.
 //
-// The registry names above are the exact vocabulary of the CLI flags
-// (-planner, -trigger, -workload), of the DESIGN.md tables, and of the
-// HTTP service's GET /v1/registries endpoint; a test pins the three views
-// against each other.
+// The registries are fixed, sorted tables: nothing registers at run time,
+// so a name means the same policy for the life of the process, which the
+// service's content addresses rely on. Their names are the exact
+// vocabulary of the CLI flags (-planner, -trigger, -workload), of the
+// DESIGN.md tables, and of the HTTP service's GET /v1/registries endpoint;
+// a test pins the three views against each other.
 //
 // PlannerSpec, TriggerSpec, and WorkloadSpec are the wire-format
 // counterpart of the policy values: serializable structs that name a
@@ -66,28 +67,29 @@
 //     sharing the worker pool and aggregation contracts with Sweep.
 //
 // SummarizeSweep and SummarizeRuntimeSweep expose the engines' input-order
-// aggregation to Stream consumers that collect results themselves.
+// aggregation to Stream consumers that collect results themselves; the
+// service's sweep and runtime-sweep jobs build their bodies with them.
 //
 // # Service layer
 //
 // internal/server and cmd/ulba-serve put the four engines behind an
 // HTTP/JSON service. The synchronous endpoints — POST /v1/experiment,
 // /v1/sweep, /v1/runtime, /v1/runtime-sweep — map requests onto the
-// builders through the spec types, accept batched instance sets, and can
-// stream NDJSON results as they complete. A deterministic
-// content-addressed result cache (LRU by byte budget, single-flight
-// deduplication of concurrent identical requests) serves repeated work
-// without recomputing — sound because every engine result is a pure
-// function of its request.
+// builders through the spec types and accept batched instance sets. A
+// deterministic content-addressed result cache (LRU by byte budget,
+// single-flight deduplication of concurrent identical requests) serves
+// repeated work without recomputing — sound because every engine result is
+// a pure function of its request.
 //
 // The /v1/jobs family (internal/jobs) is the asynchronous alternative for
 // work too large to hold a connection open: POST /v1/jobs submits any of
 // the four request types and returns a job id immediately; GET
 // /v1/jobs/{id} reports the queued/running/done/failed/cancelled state
 // machine with per-instance progress counters, GET /v1/jobs/{id}/stream
-// follows the as-completed NDJSON lines live, GET /v1/jobs/{id}/result
-// serves the final body — bit-identical to the synchronous endpoint's
-// response for the same request — and DELETE cancels. With a store
+// follows the as-completed NDJSON lines live (the one way to follow a
+// batch unit by unit), GET /v1/jobs/{id}/result serves the final body —
+// bit-identical to the synchronous endpoint's response for the same
+// request — and DELETE cancels. With a store
 // directory configured (ulba-serve -store-dir), rendered bodies persist in
 // an append-only content-addressed log that is replayed into the cache on
 // startup, so identical requests are served across restarts without
@@ -99,7 +101,7 @@
 //
 // See API.md for the HTTP reference (including the job state machine and
 // curl examples) and DESIGN.md ("Service layer") for the cache-key,
-// single-flight, streaming, and persistence/resume contracts.
+// single-flight, job stream, and persistence/resume contracts.
 //
 // # Evaluation core
 //

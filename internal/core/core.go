@@ -46,17 +46,24 @@ func NewMonitor(window int) *Monitor {
 	if window < 2 {
 		window = 2
 	}
-	return &Monitor{cap: window}
+	return &Monitor{
+		iters: make([]float64, 0, window),
+		loads: make([]float64, 0, window),
+		cap:   window,
+	}
 }
 
-// Record adds one (iteration, workload) sample.
+// Record adds one (iteration, workload) sample. A full window slides in
+// place, dropping its oldest sample, so the samples stay oldest first.
 func (m *Monitor) Record(iter int, workload float64) {
+	if len(m.iters) == m.cap {
+		copy(m.iters, m.iters[1:])
+		copy(m.loads, m.loads[1:])
+		m.iters = m.iters[:m.cap-1]
+		m.loads = m.loads[:m.cap-1]
+	}
 	m.iters = append(m.iters, float64(iter))
 	m.loads = append(m.loads, workload)
-	if len(m.iters) > m.cap {
-		m.iters = m.iters[1:]
-		m.loads = m.loads[1:]
-	}
 }
 
 // WIR returns the current workload-increase-rate estimate in work units per

@@ -56,6 +56,39 @@ func TestMonitorNonFiniteSampleHasNoWIR(t *testing.T) {
 	}
 }
 
+// TestMonitorRecordSlidesInPlace pins the full window: recording into it
+// allocates nothing, and the window holds the latest samples oldest first,
+// so the WIR is the regression over exactly those samples.
+func TestMonitorRecordSlidesInPlace(t *testing.T) {
+	const window = 8
+	m := NewMonitor(window)
+	load := func(i int) float64 { return 100 + 0.25*float64(i*i%37) }
+	it := 0
+	for ; it < window; it++ {
+		m.Record(it, load(it))
+	}
+	// AllocsPerRun truncates to whole allocations per run, so each run
+	// records 100 samples.
+	allocs := testing.AllocsPerRun(10, func() {
+		for k := 0; k < 100; k++ {
+			m.Record(it, load(it))
+			it++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("recording 100 samples into a full window allocates %v times, want 0", allocs)
+	}
+	var iters, loads []float64
+	for i := it - window; i < it; i++ {
+		iters = append(iters, float64(i))
+		loads = append(loads, load(i))
+	}
+	got, ok := m.WIR()
+	if want := stats.LinearRegression(iters, loads); !ok || got != want.Slope {
+		t.Fatalf("WIR = %v (ok %v), want the slope %v over the last %d samples", got, ok, want.Slope, window)
+	}
+}
+
 // Tiny worlds still need two known WIRs before the z-score means anything.
 func TestDetectorMinKnownFloor(t *testing.T) {
 	for _, size := range []int{1, 2} {

@@ -1,9 +1,9 @@
 // The fifth engine: criteria assessment after arXiv:2104.01688, scoring
 // registered planner/trigger criteria against the perfect-knowledge bound
 // over a shared scenario set. It exists to prove the generic core earns its
-// keep — the whole serving surface (sync HTTP, NDJSON streaming, caching,
-// async jobs with checkpoint/resume) comes from the
-// registration below, with no assessment-specific code in any layer.
+// keep — the whole serving surface (sync HTTP, caching, async jobs with
+// their NDJSON stream and checkpoint/resume) comes from the registration
+// below, with no assessment-specific code in any layer.
 
 package engine
 
@@ -26,7 +26,6 @@ type AssessRequest struct {
 	Scenarios []AssessScenarioSpec `json:"scenarios,omitempty"`
 	Sample    *SampleSpec          `json:"sample,omitempty"`
 	Workers   int                  `json:"workers,omitempty"`
-	Stream    bool                 `json:"stream,omitempty"`
 }
 
 // AssessScenarioSpec is the wire form of ulba.AssessmentScenario, with the
@@ -51,18 +50,12 @@ func (s AssessScenarioSpec) scenario() ulba.AssessmentScenario {
 	return out
 }
 
-// AssessResponse is the body of a non-streamed POST /v1/assess: the
-// per-criterion ranking plus the cell-ordered runtime results (cell index =
-// criterion x scenario count + scenario).
+// AssessResponse is the body of POST /v1/assess: the per-criterion ranking
+// plus the cell-ordered runtime results (cell index = criterion x scenario
+// count + scenario).
 type AssessResponse struct {
 	Summary ulba.AssessmentSummary `json:"summary"`
 	Results []ulba.RuntimeResult   `json:"results"`
-}
-
-// AssessStreamTail terminates a streamed /v1/assess.
-type AssessStreamTail struct {
-	Summary *ulba.AssessmentSummary `json:"summary,omitempty"`
-	Error   string                  `json:"error,omitempty"`
 }
 
 // build validates the request into its criteria panel, the cell count, and
@@ -152,7 +145,6 @@ func (r AssessRequest) build() (criteria []ulba.Criterion, n int, assessment fun
 
 func (r AssessRequest) canonical() AssessRequest {
 	r.Workers = 0
-	r.Stream = false
 	return r
 }
 
@@ -198,8 +190,6 @@ func (assessEngine) Run(ctx context.Context, r assessReq) (AssessResponse, error
 	return AssessResponse{Summary: summary, Results: results}, nil
 }
 
-func (assessEngine) Streaming(r assessReq) bool { return r.wire.Stream }
-
 func (assessEngine) Prepare(r assessReq) (func(ctx context.Context, missing []int) <-chan UnitResult[ulba.RuntimeResult], error) {
 	a, err := r.assessment()
 	if err != nil {
@@ -214,8 +204,8 @@ func (assessEngine) Prepare(r assessReq) (func(ctx context.Context, missing []in
 
 // Line and DecodeLine reuse the runtime stream-line shape: an assessment
 // unit is one per-scenario runtime result, exactly like a runtime-sweep's.
-func (assessEngine) Line(index int, unit *ulba.RuntimeResult, errMsg string) any {
-	return RuntimeStreamLine{Index: index, Result: unit, Error: errMsg}
+func (assessEngine) Line(index int, unit *ulba.RuntimeResult) any {
+	return RuntimeStreamLine{Index: index, Result: unit}
 }
 
 func (assessEngine) DecodeLine(raw []byte) (int, ulba.RuntimeResult, bool) {
@@ -228,13 +218,4 @@ func (assessEngine) Body(r assessReq, units []ulba.RuntimeResult) (AssessRespons
 		return AssessResponse{}, err
 	}
 	return AssessResponse{Summary: a.Summarize(units), Results: units}, nil
-}
-
-func (assessEngine) Tail(r assessReq, units []ulba.RuntimeResult) any {
-	a, err := r.assessment()
-	if err != nil {
-		return AssessStreamTail{Error: err.Error()}
-	}
-	sum := a.Summarize(units)
-	return AssessStreamTail{Summary: &sum}
 }

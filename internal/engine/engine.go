@@ -1,8 +1,8 @@
 // Package engine is the generic engine core: one contract —
-// validate/run/summarize/stream/cache-key/checkpoint-resume — that every
-// compute engine of the service implements exactly once, and a registry the
-// serving layers (sync HTTP handlers, NDJSON streaming, async jobs with
-// checkpointed resume) program against. Adding an engine means
+// validate/run/summarize/cache-key/checkpoint-resume — that every compute
+// engine of the service implements exactly once, and a registry the serving
+// layers (the cached sync HTTP handler, async jobs with their NDJSON stream
+// and checkpointed resume) program against. Adding an engine means
 // implementing Engine (or BatchEngine) for a new request type and
 // registering it; the HTTP surface, caching, and persistence follow
 // without engine-specific code.
@@ -42,8 +42,8 @@ type Engine[Req, Result any] interface {
 	// Errors surface as 400s on every intake surface (sync endpoint, job
 	// submission), never inside a running job.
 	Decode(raw []byte) (Req, error)
-	// Canonical returns the request stripped of its result-neutral fields
-	// (worker count, delivery mode). The content address is the SHA-256 of
+	// Canonical returns the request stripped of its result-neutral field,
+	// the worker count. The content address is the SHA-256 of
 	// Endpoint + "\n" + the canonical value's deterministic JSON.
 	Canonical(req Req) any
 	// Units is the progress denominator: the batch size, or 1 for unary
@@ -62,31 +62,27 @@ type UnitResult[U any] struct {
 	Err   error
 }
 
-// BatchEngine extends Engine for batch-shaped engines: per-unit streaming
-// (the NDJSON surface) and per-unit checkpointing (the resume surface). The
-// stream line and the checkpoint line are the same rendering, so one format
-// serves live progress, durable partial state, and the resume replay.
+// BatchEngine extends Engine for batch-shaped engines, which run as jobs
+// unit by unit: the job stream's per-unit lines and per-unit checkpointing
+// (the resume surface). The stream line and the checkpoint line are the
+// same rendering, so one format serves live progress, durable partial
+// state, and the resume replay.
 type BatchEngine[Req, U, Result any] interface {
 	Engine[Req, Result]
-	// Streaming reports whether the request asked for NDJSON delivery.
-	Streaming(req Req) bool
 	// Prepare materializes the batch inputs — the possibly expensive,
 	// possibly fallible step deferred out of Decode so cache hits never pay
 	// it — and returns the opener: open(ctx, missing) computes exactly the
 	// units whose global indices are listed, delivering completion-ordered
 	// results whose Index is the position in missing.
 	Prepare(req Req) (func(ctx context.Context, missing []int) <-chan UnitResult[U], error)
-	// Line renders the NDJSON/checkpoint line for one unit: value form
-	// when unit is non-nil, {"index", "error"} form when errMsg is set.
-	Line(index int, unit *U, errMsg string) any
+	// Line renders the NDJSON/checkpoint line for one completed unit.
+	Line(index int, unit *U) any
 	// DecodeLine parses a checkpoint line back into its global index and
 	// unit, reporting ok=false for lines that are not complete units.
 	DecodeLine(raw []byte) (int, U, bool)
 	// Body aggregates the input-ordered units into the unary response —
 	// bit-identical to Run's for the same request.
 	Body(req Req, units []U) (Result, error)
-	// Tail renders the success-terminal summary line of a stream.
-	Tail(req Req, units []U) any
 }
 
 // Descriptor is one registered engine with its types erased: what the
@@ -103,12 +99,11 @@ func (d *Descriptor) Decode(raw []byte) (*Instance, error) { return d.decode(raw
 // Instance is one decoded, validated request bound to its engine: the
 // type-erased view the HTTP handlers and job runners consume.
 type Instance struct {
-	desc   *Descriptor
-	canon  any
-	stream bool
-	units  int
-	run    func(ctx context.Context) (any, error)
-	batch  func() *Batch
+	desc  *Descriptor
+	canon any
+	units int
+	run   func(ctx context.Context) (any, error)
+	batch func() *Batch
 }
 
 // Type is the engine's job-submission type.
@@ -121,10 +116,6 @@ func (in *Instance) Canonical() any { return in.canon }
 // Key is the request's content address: SHA-256 over the endpoint-scoped
 // canonical JSON (see Key).
 func (in *Instance) Key() (string, error) { return Key(in.desc.Endpoint, in.canon) }
-
-// Stream reports whether the request asked for NDJSON delivery. Always
-// false for unary engines (their wire forms have no stream field).
-func (in *Instance) Stream() bool { return in.stream }
 
 // Units is the progress denominator (batch size; 1 for unary engines).
 func (in *Instance) Units() int { return in.units }
@@ -153,8 +144,8 @@ type Unit struct {
 }
 
 // Batch is the erased per-unit view of one batch instance: restore fills
-// units from checkpoint lines, Open computes the missing ones, Line/Body/
-// Tail read the accumulator. Prepare must succeed before Open.
+// units from checkpoint lines, Open computes the missing ones, Line/Body
+// read the accumulator. Prepare must succeed before Open.
 type Batch struct {
 	// N is the full batch size.
 	N int
@@ -163,9 +154,7 @@ type Batch struct {
 	restore func(raw []byte) (int, bool)
 	open    func(ctx context.Context, missing []int) <-chan Unit
 	line    func(i int) any
-	errLine func(i int, msg string) any
 	body    func() (any, error)
-	tail    func() any
 }
 
 // Prepare materializes the batch inputs (idempotence is not required; call
@@ -187,14 +176,8 @@ func (b *Batch) Open(ctx context.Context, missing []int) <-chan Unit { return b.
 // index i.
 func (b *Batch) Line(i int) any { return b.line(i) }
 
-// ErrorLine renders the per-unit failure line for global index i.
-func (b *Batch) ErrorLine(i int, msg string) any { return b.errLine(i, msg) }
-
 // Body aggregates the stored units into the unary response value.
 func (b *Batch) Body() (any, error) { return b.body() }
-
-// Tail renders the success-terminal summary line over the stored units.
-func (b *Batch) Tail() any { return b.tail() }
 
 // registry holds the Descriptors in registration order — the order the
 // sync routes are mounted in.
@@ -249,18 +232,18 @@ func TypeList() string {
 
 // Register erases and registers a unary engine.
 func Register[Req, Result any](e Engine[Req, Result]) {
-	register(describe(e, nil, nil))
+	register(describe(e, nil))
 }
 
 // RegisterBatch erases and registers a batch engine.
 func RegisterBatch[Req, U, Result any](e BatchEngine[Req, U, Result]) {
-	register(describe[Req, Result](e, e.Streaming, func(req Req) func() *Batch {
+	register(describe[Req, Result](e, func(req Req) func() *Batch {
 		return func() *Batch { return newBatch(e, req) }
 	}))
 }
 
 // describe erases one typed engine into its Descriptor.
-func describe[Req, Result any](e Engine[Req, Result], streaming func(Req) bool, batch func(Req) func() *Batch) *Descriptor {
+func describe[Req, Result any](e Engine[Req, Result], batch func(Req) func() *Batch) *Descriptor {
 	m := e.Meta()
 	d := &Descriptor{Type: m.Type, Endpoint: m.Endpoint}
 	d.decode = func(raw []byte) (*Instance, error) {
@@ -274,9 +257,6 @@ func describe[Req, Result any](e Engine[Req, Result], streaming func(Req) bool, 
 			units: e.Units(req),
 			run:   func(ctx context.Context) (any, error) { return e.Run(ctx, req) },
 		}
-		if streaming != nil {
-			in.stream = streaming(req)
-		}
 		if batch != nil {
 			in.batch = batch(req)
 		}
@@ -287,7 +267,7 @@ func describe[Req, Result any](e Engine[Req, Result], streaming func(Req) bool, 
 
 // newBatch erases one batch run: the unit accumulator lives in the closure
 // set, written by Restore and by the Open relay (before each channel send,
-// so the consumer's receive orders the read) and read by Line/Body/Tail.
+// so the consumer's receive orders the read) and read by Line/Body.
 func newBatch[Req, U, Result any](e BatchEngine[Req, U, Result], req Req) *Batch {
 	n := e.Units(req)
 	units := make([]U, n)
@@ -328,10 +308,8 @@ func newBatch[Req, U, Result any](e BatchEngine[Req, U, Result], req Req) *Batch
 			}()
 			return out
 		},
-		line:    func(i int) any { return e.Line(i, &units[i], "") },
-		errLine: func(i int, msg string) any { return e.Line(i, nil, msg) },
-		body:    func() (any, error) { return e.Body(req, units) },
-		tail:    func() any { return e.Tail(req, units) },
+		line: func(i int) any { return e.Line(i, &units[i]) },
+		body: func() (any, error) { return e.Body(req, units) },
 	}
 }
 

@@ -174,30 +174,7 @@ func TestBatchLifecycle(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("restored+completed body differs from unary Run:\n%s\n%s", got, want)
 	}
-	if tail, err := json.Marshal(b2.Tail()); err != nil || !strings.Contains(string(tail), "summary") {
-		t.Fatalf("tail = %s (%v)", tail, err)
-	}
 	_ = inst
-}
-
-// TestBatchErrorLine pins the per-unit error line shape shared by the
-// streaming and job surfaces.
-func TestBatchErrorLine(t *testing.T) {
-	_, b := decodeBatch(t, "sweep", `{"sample":{"seed":1,"n":2}}`)
-	if err := b.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.Marshal(b.ErrorLine(1, "boom"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m struct {
-		Index int    `json:"index"`
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(buf, &m); err != nil || m.Index != 1 || m.Error != "boom" {
-		t.Fatalf("error line = %s", buf)
-	}
 }
 
 // TestBatchCancellation pins that a cancelled context closes the unit
@@ -216,7 +193,7 @@ func TestBatchCancellation(t *testing.T) {
 }
 
 // TestUnaryInstance pins the unary side of the erasure: no batch surface,
-// no streaming, and Run produces the response directly.
+// and Run produces the response directly.
 func TestUnaryInstance(t *testing.T) {
 	d, _ := ByType("runtime")
 	inst, err := d.Decode([]byte(`{"p":4,"iterations":20,"workload":{"name":"linear","seed":1}}`))
@@ -225,9 +202,6 @@ func TestUnaryInstance(t *testing.T) {
 	}
 	if inst.NewBatch() != nil {
 		t.Fatal("unary engine produced a batch")
-	}
-	if inst.Stream() {
-		t.Fatal("unary engine claims streaming")
 	}
 	if inst.Units() != 1 {
 		t.Fatalf("units = %d, want 1", inst.Units())

@@ -39,8 +39,8 @@ type ExperimentResponse struct {
 	PredictedTotalTime *float64        `json:"predicted_total_time,omitempty"`
 }
 
-// SweepResponse is the body of a non-streamed POST /v1/sweep: exactly
-// Sweep.Run's summary and input-ordered comparisons, marshaled as-is.
+// SweepResponse is the body of POST /v1/sweep: exactly Sweep.Run's summary
+// and input-ordered comparisons, marshaled as-is.
 type SweepResponse struct {
 	Summary     ulba.SweepSummary `json:"summary"`
 	Comparisons []ulba.Comparison `json:"comparisons"`
@@ -54,40 +54,26 @@ type RuntimeResponse struct {
 	Efficiency float64            `json:"efficiency"`
 }
 
-// RuntimeSweepResponse is the body of a non-streamed POST /v1/runtime-sweep:
-// exactly RuntimeSweep.Run's summary and input-ordered results.
+// RuntimeSweepResponse is the body of POST /v1/runtime-sweep: exactly
+// RuntimeSweep.Run's summary and input-ordered results.
 type RuntimeSweepResponse struct {
 	Summary ulba.RuntimeSweepSummary `json:"summary"`
 	Results []ulba.RuntimeResult     `json:"results"`
 }
 
-// SweepStreamLine is one per-instance line of a streamed /v1/sweep and the
-// checkpoint-line format of sweep jobs.
+// SweepStreamLine is one per-instance line of a sweep job's stream and its
+// checkpoint-line format.
 type SweepStreamLine struct {
 	Index      int              `json:"index"`
 	Comparison *ulba.Comparison `json:"comparison,omitempty"`
-	Error      string           `json:"error,omitempty"`
 }
 
-// SweepStreamTail terminates a streamed /v1/sweep.
-type SweepStreamTail struct {
-	Summary *ulba.SweepSummary `json:"summary,omitempty"`
-	Error   string             `json:"error,omitempty"`
-}
-
-// RuntimeStreamLine is one per-scenario line of a streamed /v1/runtime-sweep
-// (and of /v1/assess, whose units are the same per-scenario runtime results)
-// and the checkpoint-line format of both engines' jobs.
+// RuntimeStreamLine is one per-scenario line of a runtime-sweep job's stream
+// (and of an assess job's, whose units are the same per-scenario runtime
+// results) and the checkpoint-line format of both engines' jobs.
 type RuntimeStreamLine struct {
 	Index  int                 `json:"index"`
 	Result *ulba.RuntimeResult `json:"result,omitempty"`
-	Error  string              `json:"error,omitempty"`
-}
-
-// RuntimeStreamTail terminates a streamed /v1/runtime-sweep.
-type RuntimeStreamTail struct {
-	Summary *ulba.RuntimeSweepSummary `json:"summary,omitempty"`
-	Error   string                    `json:"error,omitempty"`
 }
 
 // --- experiment ---
@@ -226,8 +212,6 @@ func (sweepEngine) Run(ctx context.Context, r sweepReq) (SweepResponse, error) {
 	return SweepResponse{Summary: summary, Comparisons: comps}, nil
 }
 
-func (sweepEngine) Streaming(r sweepReq) bool { return r.wire.Stream }
-
 func (sweepEngine) Prepare(r sweepReq) (func(ctx context.Context, missing []int) <-chan UnitResult[ulba.Comparison], error) {
 	params := r.materialize()
 	return func(ctx context.Context, missing []int) <-chan UnitResult[ulba.Comparison] {
@@ -241,8 +225,8 @@ func (sweepEngine) Prepare(r sweepReq) (func(ctx context.Context, missing []int)
 	}, nil
 }
 
-func (sweepEngine) Line(index int, unit *ulba.Comparison, errMsg string) any {
-	return SweepStreamLine{Index: index, Comparison: unit, Error: errMsg}
+func (sweepEngine) Line(index int, unit *ulba.Comparison) any {
+	return SweepStreamLine{Index: index, Comparison: unit}
 }
 
 func (sweepEngine) DecodeLine(raw []byte) (int, ulba.Comparison, bool) {
@@ -255,11 +239,6 @@ func (sweepEngine) DecodeLine(raw []byte) (int, ulba.Comparison, bool) {
 
 func (sweepEngine) Body(_ sweepReq, units []ulba.Comparison) (SweepResponse, error) {
 	return SweepResponse{Summary: ulba.SummarizeSweep(units), Comparisons: units}, nil
-}
-
-func (sweepEngine) Tail(_ sweepReq, units []ulba.Comparison) any {
-	sum := ulba.SummarizeSweep(units)
-	return SweepStreamTail{Summary: &sum}
 }
 
 // --- runtime-sweep ---
@@ -306,8 +285,6 @@ func (runtimeSweepEngine) Run(ctx context.Context, r runtimeSweepReq) (RuntimeSw
 	return RuntimeSweepResponse{Summary: summary, Results: results}, nil
 }
 
-func (runtimeSweepEngine) Streaming(r runtimeSweepReq) bool { return r.wire.Stream }
-
 func (runtimeSweepEngine) Prepare(r runtimeSweepReq) (func(ctx context.Context, missing []int) <-chan UnitResult[ulba.RuntimeResult], error) {
 	exps, err := r.materialize()
 	if err != nil {
@@ -324,8 +301,8 @@ func (runtimeSweepEngine) Prepare(r runtimeSweepReq) (func(ctx context.Context, 
 	}, nil
 }
 
-func (runtimeSweepEngine) Line(index int, unit *ulba.RuntimeResult, errMsg string) any {
-	return RuntimeStreamLine{Index: index, Result: unit, Error: errMsg}
+func (runtimeSweepEngine) Line(index int, unit *ulba.RuntimeResult) any {
+	return RuntimeStreamLine{Index: index, Result: unit}
 }
 
 func (runtimeSweepEngine) DecodeLine(raw []byte) (int, ulba.RuntimeResult, bool) {
@@ -338,9 +315,4 @@ func (runtimeSweepEngine) DecodeLine(raw []byte) (int, ulba.RuntimeResult, bool)
 
 func (runtimeSweepEngine) Body(_ runtimeSweepReq, units []ulba.RuntimeResult) (RuntimeSweepResponse, error) {
 	return RuntimeSweepResponse{Summary: ulba.SummarizeRuntimeSweep(units), Results: units}, nil
-}
-
-func (runtimeSweepEngine) Tail(_ runtimeSweepReq, units []ulba.RuntimeResult) any {
-	sum := ulba.SummarizeRuntimeSweep(units)
-	return RuntimeStreamTail{Summary: &sum}
 }

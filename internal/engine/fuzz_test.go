@@ -23,12 +23,12 @@ func FuzzEngineRequestRoundTrip(f *testing.F) {
 		{"experiment", `{"p": 16, "method": "ulba", "alpha": 0.4, "iterations": 120, "compare": true}`},
 		{"experiment", `{"p":4,"iterations":25,"method":"standard","seed":3,"z_threshold":1.5,"rcb":true}`},
 		{"sweep", `{"sample": {"seed": 2019, "n": 1000}, "alpha_grid": 100}`},
-		{"sweep", `{"instances":[{"p":4,"n":1000,"gamma":10,"w0":1,"a":0.001,"m":0.5,"omega":0.01,"c":0.2}],"workers":2,"stream":true}`},
+		{"sweep", `{"instances":[{"p":4,"n":1000,"gamma":10,"w0":1,"a":0.001,"m":0.5,"omega":0.01,"c":0.2}],"workers":2}`},
 		{"runtime", `{"p": 8, "iterations": 200, "workload": {"name": "bursty", "seed": 7}, "trigger": {"name": "menon"}}`},
 		{"runtime", `{"p": 4, "iterations": 60, "workload": {"name": "amr", "seed": 7}, "trigger": {"name": "wli", "threshold": 0.2}, "speeds": [1, 2.5, 1, 4]}`},
 		{"runtime", `{"p": 8, "workload": {"name": "linear", "seed": 7}, "planner": {"name": "sigma+"}}`},
 		{"runtime-sweep", `{"scenarios": [{"p": 8, "workload": {"name": "linear"}, "trigger": {"name": "degradation"}}]}`},
-		{"runtime-sweep", `{"sample": {"seed": 1, "n": 32}, "stream": true}`},
+		{"runtime-sweep", `{"sample": {"seed": 1, "n": 32}, "workers": 4}`},
 		{"assess", `{"sample": {"seed": 7, "n": 4}}`},
 		{"assess", `{"criteria": [{"trigger": {"name": "menon"}}, {"name": "plan", "planner": {"name": "sigma+"}}], "scenarios": [{"p": 4, "workload": {"name": "linear"}}]}`},
 	}

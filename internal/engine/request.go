@@ -124,8 +124,7 @@ type SweepRequest struct {
 
 	// Workers tunes engine parallelism only; results are worker-count
 	// invariant, so the field is excluded from the cache key.
-	Workers int  `json:"workers,omitempty"`
-	Stream  bool `json:"stream,omitempty"`
+	Workers int `json:"workers,omitempty"`
 }
 
 // build validates the request into a ready engine, the batch size, and a
@@ -177,11 +176,10 @@ func (r SweepRequest) build() (sweep *ulba.Sweep, n int, materialize func() []ul
 	}, nil
 }
 
-// canonical strips the fields that cannot change the result (worker count,
-// delivery mode), so requests differing only there share one cache entry.
+// canonical strips the field that cannot change the result, the worker
+// count, so requests differing only there share one cache entry.
 func (r SweepRequest) canonical() SweepRequest {
 	r.Workers = 0
-	r.Stream = false
 	return r
 }
 
@@ -353,7 +351,6 @@ type RuntimeSweepRequest struct {
 	Scenarios []RuntimeRequest `json:"scenarios,omitempty"`
 	Sample    *SampleSpec      `json:"sample,omitempty"`
 	Workers   int              `json:"workers,omitempty"`
-	Stream    bool             `json:"stream,omitempty"`
 }
 
 // runtimeSweepBatch bounds a runtime-sweep batch: each scenario spawns its
@@ -414,6 +411,5 @@ func (r RuntimeSweepRequest) canonical() RuntimeSweepRequest {
 	}
 	r.Scenarios = scens
 	r.Workers = 0
-	r.Stream = false
 	return r
 }

@@ -59,6 +59,7 @@ func (e Entry) supersedes(old Entry) bool {
 type DB struct {
 	entries []Entry
 	known   []bool
+	values  []float64 // Values' reused result
 }
 
 // NewDB creates an empty database for a world of size ranks, owned by rank
@@ -120,16 +121,18 @@ func (db *DB) KnownCount() int {
 	return n
 }
 
-// Values returns the values of all known entries, the population used by
-// the z-score overload detector.
+// Values returns the values of all known entries in rank order, the
+// population used by the z-score overload detector. The slice is the
+// database's own scratch buffer, valid until the next call: use it at once
+// or copy it.
 func (db *DB) Values() []float64 {
-	out := make([]float64, 0, len(db.entries))
+	db.values = db.values[:0]
 	for r, k := range db.known {
 		if k {
-			out = append(out, db.entries[r].Value)
+			db.values = append(db.values, db.entries[r].Value)
 		}
 	}
-	return out
+	return db.values
 }
 
 // Snapshot returns all known entries in rank order.

@@ -115,6 +115,19 @@ func TestZScoreOf(t *testing.T) {
 	}
 }
 
+// TestZScoreOfAllocatesNothing pins the detector's per-iteration read: the
+// z-score reuses the database's scratch population instead of allocating
+// one per call.
+func TestZScoreOfAllocatesNothing(t *testing.T) {
+	db := NewDB(0, 32)
+	for r := 0; r < 32; r++ {
+		db.Update(r, float64(r%5), 0)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { db.ZScoreOf(7) }); allocs != 0 {
+		t.Fatalf("ZScoreOf allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := []Entry{{Rank: 3, Value: -1.5, Iter: 42}, {Rank: 0, Value: 0, Iter: 0}}
 	out := DecodeEntriesInto(nil, AppendEntries(nil, in))

@@ -25,14 +25,15 @@ import (
 //
 // Per engine:
 //
-//   - cache-key canonicalization: execution knobs (workers, stream) do not
+//   - cache-key canonicalization: the execution knob (workers) does not
 //     change the content address, and the address is stable across a
 //     decode -> canonical -> re-encode round trip;
 //   - sync-vs-job byte identity: the async result equals the synchronous
 //     response bit for bit, computed on separate servers so neither path
 //     can borrow the other's cache;
-//   - NDJSON framing (batch engines): one line per unit, indices covering
-//     the range exactly, bypass header set, terminal summary line last;
+//   - job stream framing (batch engines): one NDJSON line per unit,
+//     indices covering the range exactly, bypass header set, terminal
+//     done line last;
 //   - checkpoint/resume bit identity (batch engines): a job interrupted
 //     mid-run resumes from its checkpoint on a fresh server and still
 //     produces the synchronous bytes;
@@ -59,7 +60,7 @@ var conformanceFixtures = map[string]conformanceFixture{
 	},
 	"sweep": {
 		request: `{"sample":{"seed":21,"n":12},"alpha_grid":9}`,
-		variant: `{"alpha_grid":9,"sample":{"n":12,"seed":21},"workers":2,"stream":false}`,
+		variant: `{"alpha_grid":9,"sample":{"n":12,"seed":21},"workers":2}`,
 	},
 	"runtime": {
 		request: `{"p":4,"iterations":30,"workload":{"name":"bursty","seed":2},"trigger":{"name":"menon"}}`,
@@ -67,7 +68,7 @@ var conformanceFixtures = map[string]conformanceFixture{
 	},
 	"runtime-sweep": {
 		request: `{"sample":{"seed":6,"n":3}}`,
-		variant: `{"workers":2,"sample":{"seed":6,"n":3},"stream":false}`,
+		variant: `{"workers":2,"sample":{"seed":6,"n":3}}`,
 	},
 	"assess": {
 		request: `{"criteria":[{"trigger":{"name":"degradation"}},{"trigger":{"name":"never"}}],"sample":{"seed":5,"n":2}}`,
@@ -182,38 +183,25 @@ func TestConformanceSyncJobByteIdentity(t *testing.T) {
 	}
 }
 
-// withStream injects "stream": true into a JSON request body.
-func withStream(t *testing.T, request string) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal([]byte(request), &m); err != nil {
-		t.Fatal(err)
-	}
-	m["stream"] = true
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
-// TestConformanceNDJSONFraming pins the streaming contract for every batch
-// engine: bypass header, one line per unit with indices covering the range
-// exactly, and a terminal summary line with no error.
-func TestConformanceNDJSONFraming(t *testing.T) {
+// TestConformanceJobStreamFraming pins the job stream contract for every
+// batch engine: NDJSON content type, bypass header, one line per unit with
+// indices covering the range exactly once, then a terminal line with state
+// done.
+func TestConformanceJobStreamFraming(t *testing.T) {
 	for _, typ := range engine.TypeNames() {
 		fx := conformanceFixtures[typ]
 		t.Run(typ, func(t *testing.T) {
 			_, inst := decodeKey(t, typ, fx.request)
 			if inst.NewBatch() == nil {
-				t.Skipf("engine %q is unary: no streaming surface", typ)
+				t.Skipf("engine %q is unary: no per-unit lines", typ)
 			}
-			d, _ := engine.ByType(typ)
 			_, ts := newTestServer(t)
-			resp := post(t, ts, d.Endpoint, withStream(t, fx.request))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("stream status = %d: %s", resp.StatusCode, readAll(t, resp))
+			st := submitJob(t, ts, typ, fx.request)
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer resp.Body.Close()
 			if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 				t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 			}
@@ -236,12 +224,9 @@ func TestConformanceNDJSONFraming(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(lines) != n+1 {
-				t.Fatalf("stream delivered %d lines, want %d units + 1 tail", len(lines), n)
+				t.Fatalf("stream delivered %d lines, want %d units + 1 terminal line", len(lines), n)
 			}
 			for _, m := range lines[:n] {
-				if _, bad := m["error"]; bad {
-					t.Fatalf("unit line carries an error: %v", m)
-				}
 				var idx int
 				if err := json.Unmarshal(m["index"], &idx); err != nil {
 					t.Fatalf("unit line has no index: %v", m)
@@ -251,15 +236,9 @@ func TestConformanceNDJSONFraming(t *testing.T) {
 				}
 				seen[idx] = true
 			}
-			tail := lines[n]
-			if _, bad := tail["error"]; bad {
-				t.Fatalf("terminal line carries an error: %v", tail)
-			}
-			if _, ok := tail["index"]; ok {
-				t.Fatalf("terminal line looks like a unit line: %v", tail)
-			}
-			if len(tail) == 0 {
-				t.Fatal("terminal line is empty: no summary")
+			var state jobs.State
+			if err := json.Unmarshal(lines[n]["state"], &state); err != nil || state != jobs.StateDone {
+				t.Fatalf("terminal line = %v, want state %q", lines[n], jobs.StateDone)
 			}
 		})
 	}
@@ -360,9 +339,9 @@ func TestConformanceCheckpointResume(t *testing.T) {
 }
 
 // TestConformanceCancellation pins that an abandoned request leaves the
-// server healthy for every engine: after the client walks away mid-stream
-// (batch) or mid-compute (unary), the engine slot is released and a fresh
-// request on the same server succeeds.
+// server healthy for every engine: after the client walks away from a
+// request, the engine slot is released and a fresh request on the same
+// server succeeds.
 func TestConformanceCancellation(t *testing.T) {
 	for _, typ := range engine.TypeNames() {
 		fx := conformanceFixtures[typ]
@@ -371,7 +350,6 @@ func TestConformanceCancellation(t *testing.T) {
 				t.Skip("compute-heavy fixture in -short mode")
 			}
 			d, _ := engine.ByType(typ)
-			_, inst := decodeKey(t, typ, fx.request)
 			// One engine slot: a leaked slot would deadlock the follow-up.
 			srv, err := New(Config{MaxConcurrent: 1})
 			if err != nil {
@@ -379,19 +357,15 @@ func TestConformanceCancellation(t *testing.T) {
 			}
 			ts := newHTTPServer(t, srv)
 
-			body := fx.request
-			if inst.NewBatch() != nil {
-				body = withStream(t, body)
-			}
 			ctx, cancel := context.WithCancel(context.Background())
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+d.Endpoint, strings.NewReader(body))
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+d.Endpoint, strings.NewReader(fx.request))
 			if err != nil {
 				t.Fatal(err)
 			}
 			req.Header.Set("Content-Type", "application/json")
 			resp, err := http.DefaultClient.Do(req)
 			if err == nil {
-				// Read at most one line, then abandon the stream.
+				// Read at most one line, then abandon the response.
 				br := bufio.NewReader(resp.Body)
 				br.ReadString('\n')
 				cancel()

@@ -33,8 +33,7 @@ var jobUnitHook atomic.Pointer[func(ctx context.Context)]
 
 // jobSubmission is the body of POST /v1/jobs: an engine request wrapped
 // with its type. Request is the exact body the matching synchronous
-// endpoint accepts (stream/workers fields are ignored for the key, as
-// always).
+// endpoint accepts (its workers field is ignored for the key, as always).
 type jobSubmission struct {
 	Type    string          `json:"type"`
 	Request json.RawMessage `json:"request"`
@@ -111,8 +110,8 @@ func (s *Server) checkpointedRun(key string, body func(ctx context.Context, j *j
 // units, report progress, stream the missing indices through the engine,
 // checkpoint and emit each fresh result, and on a per-unit error abort the
 // job with the lowest-index error among the results delivered (the abort
-// cancels the stream, whose remaining delivery is best-effort — unlike the
-// synchronous endpoints' guaranteed lowest-index rule). The bytes equal the
+// cancels the engine's delivery, which is best-effort after that — unlike
+// the synchronous endpoints' guaranteed lowest-index rule). The bytes equal the
 // synchronous endpoint's because per-unit evaluation is a pure function of
 // the unit, checkpoint lines round-trip exactly, and aggregation is
 // input-ordered either way.
@@ -346,6 +345,38 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
+// ndjsonWriter emits one JSON line per write and flushes it immediately, so
+// a job stream's consumer sees each unit the moment the job completes it.
+type ndjsonWriter struct {
+	w     http.ResponseWriter
+	flush http.Flusher
+	enc   *json.Encoder
+}
+
+func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Ulba-Cache", "bypass")
+	flush, _ := w.(http.Flusher)
+	return &ndjsonWriter{w: w, flush: flush, enc: json.NewEncoder(w)}
+}
+
+func (nw *ndjsonWriter) line(v any) {
+	nw.enc.Encode(v)
+	if nw.flush != nil {
+		nw.flush.Flush()
+	}
+}
+
+// raw emits one precomposed line (no trailing newline) verbatim: the job's
+// lines were rendered once and are replayed from its event log.
+func (nw *ndjsonWriter) raw(line []byte) {
+	nw.w.Write(line)
+	nw.w.Write([]byte{'\n'})
+	if nw.flush != nil {
+		nw.flush.Flush()
+	}
+}
+
 // jobStreamTail terminates a job stream with the job's final state.
 type jobStreamTail struct {
 	State    jobs.State    `json:"state"`
@@ -355,8 +386,10 @@ type jobStreamTail struct {
 
 // handleJobStream replays the job's as-completed NDJSON lines and follows
 // them live until the job finishes, then emits a terminal state line. The
-// lines are exactly the engines' stream lines (index + unit); unary jobs
-// have no per-unit lines, so their stream is the terminal line alone.
+// lines are exactly the engines' stream lines (index + unit), in completion
+// order; unary jobs have no per-unit lines, so their stream is the
+// terminal line alone. The stream is not a cached body (X-Ulba-Cache:
+// bypass): its line order depends on completion order.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.getJob(w, r)
 	if !ok {

@@ -17,8 +17,8 @@ import (
 )
 
 // statusRecorder captures the response status for the per-endpoint
-// counters. It forwards Flush so the NDJSON streaming endpoints keep their
-// line-at-a-time delivery through the wrapper.
+// counters. It forwards Flush so the job stream keeps its line-at-a-time
+// delivery through the wrapper.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int

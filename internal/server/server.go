@@ -8,12 +8,13 @@
 // engines ideal behind a content-addressed result cache: the server
 // canonicalizes each request, hashes it, and serves repeated or concurrent
 // identical requests from one computation. Batch engines accept instance or
-// scenario sets and can stream NDJSON results as they complete.
+// scenario sets; submitted as jobs, they stream NDJSON results as they
+// complete.
 //
 // cmd/ulba-serve wraps this package into a deployable binary; API.md is the
 // HTTP reference, and the "Service layer" and "Generic engine core"
-// sections of DESIGN.md document the cache-key, single-flight, and
-// streaming contracts.
+// sections of DESIGN.md document the cache-key, single-flight, and job
+// stream contracts.
 package server
 
 import (
@@ -388,8 +389,7 @@ func (s *Server) computeBody(ctx context.Context, key string, compute func(ctx c
 
 // handleEngine is the one synchronous handler every registered engine
 // mounts: read, decode (strict parse + validation, 400 on failure), then
-// either the cached unary path or — for a batch engine asked to stream —
-// the NDJSON path. No engine-specific code lives here; the engine's
+// the cached path. No engine-specific code lives here; the engine's
 // Descriptor carries everything the serving layer needs.
 func (s *Server) handleEngine(d *engine.Descriptor) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -403,30 +403,12 @@ func (s *Server) handleEngine(d *engine.Descriptor) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if inst.Stream() {
-			b := inst.NewBatch()
-			// Materialization failures (server-side sampling) are server
-			// bugs, not client errors: 500, before any stream bytes.
-			if err := b.Prepare(); err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			// Streams always compute (they bypass the cache), so they
-			// always need an admission token, held for the whole stream.
-			if !s.admit() {
-				s.writeShed(w)
-				return
-			}
-			defer s.releaseAdmission()
-			s.streamBatch(w, r, b)
-			return
-		}
 		s.serveCached(w, r, inst)
 	}
 }
 
-// serveCached answers one unary engine request through the cache: compute
-// runs at most once per content address across concurrent and repeated
+// serveCached answers one engine request through the cache: compute runs
+// at most once per content address across concurrent and repeated
 // requests, under an engine slot. The cached body is fully rendered, so
 // hits, joins, and store reads are byte-identical to fresh misses.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, inst *engine.Instance) {

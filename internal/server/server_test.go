@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -112,6 +111,9 @@ func TestRequestValidation(t *testing.T) {
 		{"workload rows on generator", "/v1/runtime", `{"p": 4, "workload":{"name":"linear","rows":[[1,2]]}}`, 400, "takes no rows"},
 		{"runtime-sweep without inputs", "/v1/runtime-sweep", `{}`, 400, "needs scenarios, sample, or both"},
 		{"runtime-sweep bad scenario", "/v1/runtime-sweep", `{"scenarios":[{"p":-1}]}`, 400, "scenario 0"},
+		{"sweep stream", "/v1/sweep", `{"sample":{"seed":1,"n":2},"stream":true}`, 400, `unknown field "stream"`},
+		{"runtime-sweep stream", "/v1/runtime-sweep", `{"sample":{"seed":1,"n":2},"stream":true}`, 400, `unknown field "stream"`},
+		{"assess stream", "/v1/assess", `{"sample":{"seed":1,"n":1},"stream":true}`, 400, `unknown field "stream"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -314,120 +316,6 @@ func TestSingleFlight(t *testing.T) {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("client %d received different bytes than client 0", i)
 		}
-	}
-}
-
-// TestSweepStream pins the NDJSON contract: one line per instance in
-// completion order with indexes covering the input exactly once, and a
-// terminal summary line bit-identical to the unary endpoint's summary.
-func TestSweepStream(t *testing.T) {
-	_, ts := newTestServer(t)
-	const n = 20
-	resp := post(t, ts, "/v1/sweep", `{"sample":{"seed":3,"n":20},"alpha_grid":11,"stream":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-
-	seen := make(map[int]bool)
-	comps := make([]ulba.Comparison, n)
-	var tail engine.SweepStreamTail
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<20)
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var line struct {
-			Index      *int               `json:"index"`
-			Comparison *ulba.Comparison   `json:"comparison"`
-			Error      string             `json:"error"`
-			Summary    *ulba.SweepSummary `json:"summary"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		switch {
-		case line.Summary != nil:
-			tail.Summary = line.Summary
-		case line.Error != "":
-			t.Fatalf("unexpected error line: %s", line.Error)
-		default:
-			if line.Index == nil || line.Comparison == nil {
-				t.Fatalf("line %d is neither a result nor a tail: %s", lines, sc.Text())
-			}
-			if seen[*line.Index] {
-				t.Fatalf("index %d delivered twice", *line.Index)
-			}
-			seen[*line.Index] = true
-			comps[*line.Index] = *line.Comparison
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines != n+1 {
-		t.Fatalf("stream had %d lines, want %d results + 1 summary", lines, n)
-	}
-	if len(seen) != n {
-		t.Fatalf("stream delivered %d distinct indexes, want %d", len(seen), n)
-	}
-	if tail.Summary == nil {
-		t.Fatal("stream ended without a summary line")
-	}
-
-	sweep, err := ulba.NewSweep(ulba.WithAlphaGrid(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := sweep.Run(context.Background(), ulba.SampleInstances(3, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *tail.Summary != want {
-		t.Errorf("streamed summary %+v != in-process summary %+v", *tail.Summary, want)
-	}
-	if got := ulba.SummarizeSweep(comps); got != want {
-		t.Errorf("re-aggregated streamed results %+v != in-process summary %+v", got, want)
-	}
-}
-
-// TestRuntimeSweepStream smoke-checks the runtime streaming endpoint:
-// every scenario line lands plus the terminal summary.
-func TestRuntimeSweepStream(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp := post(t, ts, "/v1/runtime-sweep", `{"sample":{"seed":9,"n":3},"stream":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<22)
-	results, summaries := 0, 0
-	for sc.Scan() {
-		var line struct {
-			Result  json.RawMessage `json:"result"`
-			Summary json.RawMessage `json:"summary"`
-			Error   string          `json:"error"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Error != "" {
-			t.Fatalf("unexpected error line: %s", line.Error)
-		}
-		if line.Result != nil {
-			results++
-		}
-		if line.Summary != nil {
-			summaries++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if results != 3 || summaries != 1 {
-		t.Fatalf("stream had %d results and %d summaries, want 3 and 1", results, summaries)
 	}
 }
 

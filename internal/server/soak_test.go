@@ -381,7 +381,6 @@ func TestAdmissionSheds(t *testing.T) {
 	}{
 		{"sweep over limit", "/v1/sweep", `{"sample":{"seed":200,"n":10},"alpha_grid":11}`},
 		{"runtime over limit", "/v1/runtime", `{"p":4,"iterations":10,"workload":{"name":"linear","seed":1}}`},
-		{"stream over limit", "/v1/sweep", `{"sample":{"seed":201,"n":10},"alpha_grid":11,"stream":true}`},
 	}
 	var sheds uint64
 	for _, c := range cases {

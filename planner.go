@@ -2,8 +2,6 @@ package ulba
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"ulba/internal/schedule"
 	"ulba/internal/simulate"
@@ -119,70 +117,4 @@ func (pl AnnealPlanner) Plan(p ModelParams, gamma int) (Schedule, error) {
 		steps = 20000
 	}
 	return simulate.AnnealSchedule(p, steps, pl.Seed), nil
-}
-
-// PlannerFactory constructs a planner with its default configuration.
-// Callers that need a non-default configuration (a periodic interval, an
-// annealing budget) type-assert the result or construct the planner
-// directly.
-type PlannerFactory func() Planner
-
-var (
-	plannerMu  sync.RWMutex
-	plannerReg = map[string]PlannerFactory{}
-)
-
-// RegisterPlanner makes a planner selectable by name, e.g. from the
-// -planner flag of the CLIs. It errors on the empty name, a nil factory, or
-// a duplicate registration; third-party planners should pick unique names.
-func RegisterPlanner(name string, f PlannerFactory) error {
-	if name == "" {
-		return fmt.Errorf("ulba: planner name must not be empty")
-	}
-	if f == nil {
-		return fmt.Errorf("ulba: planner %q: nil factory", name)
-	}
-	plannerMu.Lock()
-	defer plannerMu.Unlock()
-	if _, dup := plannerReg[name]; dup {
-		return fmt.Errorf("ulba: planner %q already registered", name)
-	}
-	plannerReg[name] = f
-	return nil
-}
-
-// NewPlanner constructs the registered planner with the given name.
-func NewPlanner(name string) (Planner, error) {
-	plannerMu.RLock()
-	f, ok := plannerReg[name]
-	plannerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("ulba: unknown planner %q (registered: %v)", name, PlannerNames())
-	}
-	return f(), nil
-}
-
-// PlannerNames lists the registered planners in sorted order.
-func PlannerNames() []string {
-	plannerMu.RLock()
-	defer plannerMu.RUnlock()
-	names := make([]string, 0, len(plannerReg))
-	for n := range plannerReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func mustRegisterPlanner(name string, f PlannerFactory) {
-	if err := RegisterPlanner(name, f); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterPlanner("sigma+", func() Planner { return SigmaPlusPlanner{} })
-	mustRegisterPlanner("menon", func() Planner { return MenonPlanner{} })
-	mustRegisterPlanner("periodic", func() Planner { return PeriodicPlanner{Every: 10} })
-	mustRegisterPlanner("anneal", func() Planner { return AnnealPlanner{} })
 }

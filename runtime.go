@@ -412,7 +412,7 @@ func (s *RuntimeSweep) Run(ctx context.Context, exps []*RuntimeExperiment) (Runt
 // SummarizeRuntimeSweep aggregates scenario results in slice order into the
 // same RuntimeSweepSummary Run reports for that result set — the runtime
 // counterpart of SummarizeSweep, for Stream consumers that collect results
-// themselves.
+// themselves, such as the HTTP service's runtime-sweep jobs.
 func SummarizeRuntimeSweep(results []RuntimeResult) RuntimeSweepSummary {
 	return summarizeRuntimeSweep(results)
 }

@@ -211,9 +211,10 @@ func collectIndexed[R any](ctx context.Context, cancel context.CancelFunc, resul
 
 // SummarizeSweep aggregates comparisons in slice order into the same
 // SweepSummary Run reports for that result set. It is the aggregation half
-// of Run made standalone for Stream consumers (including the HTTP service's
-// NDJSON streaming), which collect per-instance results themselves and
-// still want the deterministic input-order summary.
+// of Run made standalone for Stream consumers, which collect per-instance
+// results themselves and still want the deterministic input-order summary:
+// the HTTP service builds a sweep job's body with it, over the units it
+// computed or restored from the job's checkpoint.
 func SummarizeSweep(comps []Comparison) SweepSummary { return summarizeSweep(comps) }
 
 // summarizeSweep aggregates comparisons in slice order.

@@ -1,10 +1,6 @@
 package ulba
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"ulba/internal/lb"
 	"ulba/internal/schedule"
 )
@@ -111,74 +107,6 @@ func (WLITrigger) Name() string { return "wli" }
 
 // New returns a fresh WLI comparator.
 func (t WLITrigger) New() RuntimeTrigger { return &lb.WLIThreshold{Threshold: t.Threshold} }
-
-// TriggerFactory constructs a trigger with its default configuration.
-type TriggerFactory func() Trigger
-
-var (
-	triggerMu  sync.RWMutex
-	triggerReg = map[string]TriggerFactory{}
-)
-
-// RegisterTrigger makes a trigger selectable by name, e.g. from the
-// -trigger flag of the CLIs. It errors on the empty name, a nil factory, or
-// a duplicate registration.
-func RegisterTrigger(name string, f TriggerFactory) error {
-	if name == "" {
-		return fmt.Errorf("ulba: trigger name must not be empty")
-	}
-	if f == nil {
-		return fmt.Errorf("ulba: trigger %q: nil factory", name)
-	}
-	triggerMu.Lock()
-	defer triggerMu.Unlock()
-	if _, dup := triggerReg[name]; dup {
-		return fmt.Errorf("ulba: trigger %q already registered", name)
-	}
-	triggerReg[name] = f
-	return nil
-}
-
-// NewTrigger constructs the registered trigger with the given name.
-func NewTrigger(name string) (Trigger, error) {
-	triggerMu.RLock()
-	f, ok := triggerReg[name]
-	triggerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("ulba: unknown trigger %q (registered: %v)", name, TriggerNames())
-	}
-	return f(), nil
-}
-
-// TriggerNames lists the registered triggers in sorted order.
-func TriggerNames() []string {
-	triggerMu.RLock()
-	defer triggerMu.RUnlock()
-	names := make([]string, 0, len(triggerReg))
-	for n := range triggerReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func mustRegisterTrigger(name string, f TriggerFactory) {
-	if err := RegisterTrigger(name, f); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterTrigger("degradation", func() Trigger { return DegradationTrigger{} })
-	mustRegisterTrigger("menon", func() Trigger { return MenonTrigger{} })
-	mustRegisterTrigger("periodic", func() Trigger { return PeriodicTrigger{Every: 10} })
-	mustRegisterTrigger("never", func() Trigger { return NeverTrigger{} })
-	mustRegisterTrigger("wli", func() Trigger { return WLITrigger{Threshold: 0.25} })
-	// The replay trigger registers with an empty plan (it then never
-	// fires); callers configure the schedule, typically through
-	// WithPlanner, which installs it automatically.
-	mustRegisterTrigger("schedule", func() Trigger { return ScheduleTrigger{} })
-}
 
 // normalizeSchedule clamps an arbitrary iteration list into a valid
 // schedule for a gamma-iteration run.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 
 	"ulba/internal/imbalance"
@@ -798,73 +797,4 @@ func defaultBaseSpread(base, spread float64) (float64, float64) {
 		spread = 0.5
 	}
 	return base, spread
-}
-
-// WorkloadFactory constructs a workload with its default configuration.
-type WorkloadFactory func() Workload
-
-var (
-	workloadMu  sync.RWMutex
-	workloadReg = map[string]WorkloadFactory{}
-)
-
-// RegisterWorkload makes a workload selectable by name, e.g. from the
-// -workload flag of the CLIs. It errors on the empty name, a nil factory,
-// or a duplicate registration.
-func RegisterWorkload(name string, f WorkloadFactory) error {
-	if name == "" {
-		return fmt.Errorf("ulba: workload name must not be empty")
-	}
-	if f == nil {
-		return fmt.Errorf("ulba: workload %q: nil factory", name)
-	}
-	workloadMu.Lock()
-	defer workloadMu.Unlock()
-	if _, dup := workloadReg[name]; dup {
-		return fmt.Errorf("ulba: workload %q already registered", name)
-	}
-	workloadReg[name] = f
-	return nil
-}
-
-// NewWorkload constructs the registered workload with the given name.
-func NewWorkload(name string) (Workload, error) {
-	workloadMu.RLock()
-	f, ok := workloadReg[name]
-	workloadMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("ulba: unknown workload %q (registered: %v)", name, WorkloadNames())
-	}
-	return f(), nil
-}
-
-// WorkloadNames lists the registered workloads in sorted order. The slice
-// is a fresh copy: mutating it cannot corrupt the registry.
-func WorkloadNames() []string {
-	workloadMu.RLock()
-	defer workloadMu.RUnlock()
-	names := make([]string, 0, len(workloadReg))
-	for n := range workloadReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func mustRegisterWorkload(name string, f WorkloadFactory) {
-	if err := RegisterWorkload(name, f); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterWorkload("stationary", func() Workload { return StationaryWorkload{} })
-	mustRegisterWorkload("linear", func() Workload { return LinearWorkload{} })
-	mustRegisterWorkload("exponential", func() Workload { return ExponentialWorkload{} })
-	mustRegisterWorkload("bursty", func() Workload { return BurstyWorkload{} })
-	mustRegisterWorkload("outlier", func() Workload { return OutlierWorkload{} })
-	mustRegisterWorkload("trace", func() Workload { return DemoTraceWorkload() })
-	mustRegisterWorkload("minife", func() Workload { return MiniFEWorkload{} })
-	mustRegisterWorkload("amr", func() Workload { return AMRWorkload{} })
-	mustRegisterWorkload("target", func() Workload { return TargetImbalanceWorkload{} })
 }
